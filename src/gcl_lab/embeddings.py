@@ -107,14 +107,33 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
     return v / norm
 
 
-def l2_normalize_rows(rows: np.ndarray) -> np.ndarray:
-    """Row-wise l2_normalize for an N×d matrix."""
+def normalize_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise l2_normalize for an N×d matrix; also returns the row norms,
+    which normalize_rows_backward needs.
+
+    Raises ZeroVectorError when a row's norm is below the zero threshold.
+    """
     rows = np.asarray(rows, dtype=np.float64)
     norms = np.linalg.norm(rows, axis=1)
     if np.any(norms < ZERO_NORM_THRESHOLD):
         bad = int(np.argmin(norms))
         raise ZeroVectorError(f"row {bad} has norm {norms[bad]:.3e}, cannot normalize")
-    return rows / norms[:, None]
+    return rows / norms[:, None], norms
+
+
+def normalize_rows_backward(grad_unit: np.ndarray, unit: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Chain a gradient through normalize_rows.
+
+    The Jacobian of y -> y/||y|| is (I - u u^T)/||y||, applied row-wise with
+    u the normalized row.
+    """
+    inner = np.sum(grad_unit * unit, axis=1, keepdims=True)
+    return (grad_unit - unit * inner) / norms[:, None]
+
+
+def l2_normalize_rows(rows: np.ndarray) -> np.ndarray:
+    """Row-wise l2_normalize for an N×d matrix."""
+    return normalize_rows(rows)[0]
 
 
 def similarity_matrix(a: EmbeddingMatrix, b: EmbeddingMatrix, tau: float) -> np.ndarray:
@@ -152,7 +171,7 @@ def fuse_sum_rows(image_rows: np.ndarray, text_rows: np.ndarray, renormalize: bo
         )
     summed = np.asarray(image_rows, dtype=np.float64) + np.asarray(text_rows, dtype=np.float64)
     if renormalize:
-        summed = l2_normalize_rows(summed)
+        summed = normalize_rows(summed)[0]
     return summed
 
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeMismatchError, ZeroVectorError
-from .embeddings import ZERO_NORM_THRESHOLD
+from .errors import ConfigError, ShapeMismatchError
+from .embeddings import normalize_rows, normalize_rows_backward
 
 
 @dataclass(frozen=True)
@@ -29,20 +29,6 @@ class EncoderConfig:
             raise ConfigError(f"d_in and d_out must be >= 1, got {self.d_in}, {self.d_out}")
         if self.hidden is not None and self.hidden < 1:
             raise ConfigError(f"hidden width must be >= 1 when set, got {self.hidden}")
-
-
-def _normalize_with_cache(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.linalg.norm(y, axis=1)
-    if np.any(norms < ZERO_NORM_THRESHOLD):
-        bad = int(np.argmin(norms))
-        raise ZeroVectorError(f"encoder output row {bad} has norm {norms[bad]:.3e}")
-    return y / norms[:, None], norms
-
-
-def _normalize_backward(grad_e: np.ndarray, e: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    # Jacobian of y -> y/||y||: (I - e e^T)/||y|| applied row-wise
-    inner = np.sum(grad_e * e, axis=1, keepdims=True)
-    return (grad_e - e * inner) / norms[:, None]
 
 
 class LinearEncoder:
@@ -68,14 +54,14 @@ class LinearEncoder:
         if x.ndim != 2 or x.shape[1] != self.cfg.d_in:
             raise ShapeMismatchError(f"expected (N, {self.cfg.d_in}) inputs, got {x.shape}")
         y = x @ self.params["W"].T + self.params["b"]
-        e, norms = _normalize_with_cache(y)
+        e, norms = normalize_rows(y)
         return e, {"x": x, "e": e, "norms": norms}
 
     def encode(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)[0]
 
     def backward(self, cache: dict, grad_e: np.ndarray) -> dict[str, np.ndarray]:
-        grad_y = _normalize_backward(grad_e, cache["e"], cache["norms"])
+        grad_y = normalize_rows_backward(grad_e, cache["e"], cache["norms"])
         return {"W": grad_y.T @ cache["x"], "b": grad_y.sum(axis=0)}
 
 
@@ -107,14 +93,14 @@ class MlpEncoder:
             raise ShapeMismatchError(f"expected (N, {self.cfg.d_in}) inputs, got {x.shape}")
         h = np.tanh(x @ self.params["W1"].T + self.params["b1"])
         y = h @ self.params["W2"].T + self.params["b2"]
-        e, norms = _normalize_with_cache(y)
+        e, norms = normalize_rows(y)
         return e, {"x": x, "h": h, "e": e, "norms": norms}
 
     def encode(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)[0]
 
     def backward(self, cache: dict, grad_e: np.ndarray) -> dict[str, np.ndarray]:
-        grad_y = _normalize_backward(grad_e, cache["e"], cache["norms"])
+        grad_y = normalize_rows_backward(grad_e, cache["e"], cache["norms"])
         h = cache["h"]
         grad_h = grad_y @ self.params["W2"]
         grad_pre = grad_h * (1.0 - h * h)

@@ -81,6 +81,8 @@ class MissingModalityError(GclError):
 class NonFiniteGradientError(GclError):
     """A gradient contained NaN or Inf; training state at failure is attached."""
 
+    state_dump: dict | None = None
+
 
 class DivergenceDetectedError(GclError):
     """The training loss became non-finite."""

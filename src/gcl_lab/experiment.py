@@ -15,6 +15,7 @@ One run directory holds everything an experiment produces:
     train_log.json       one record per optimization step
     report.json          retrieval metrics + gap diagnostics (deterministic)
     timings.json         wall-clock numbers (the one nondeterministic file)
+    failure.json         training state at a non-finite gradient (failed runs only)
     csv/                 per-task per-query tables, projection scatter
 
 Evaluation protocol: the eval dataset is generated with duplication 2, so
@@ -37,7 +38,7 @@ import numpy as np
 
 from .diagnostics import GapReport, PcaProjection, modality_gap_table, pca_2d
 from .embeddings import MODALITIES, Modality
-from .errors import ConfigError, FormatError, InvalidDimsError
+from .errors import ConfigError, FormatError, InvalidDimsError, NonFiniteGradientError
 from .evaluation import (
     Candidate,
     Query,
@@ -283,6 +284,10 @@ class ExperimentPaths:
         return self.root / "timings.json"
 
     @property
+    def failure(self) -> Path:
+        return self.root / "failure.json"
+
+    @property
     def csv_dir(self) -> Path:
         return self.root / "csv"
 
@@ -361,7 +366,11 @@ def cmd_train(
     resume: bool = False,
     stop_after_epochs: int | None = None,
 ) -> dict:
-    """Train on the generated data; writes checkpoint.gclc and train_log.json."""
+    """Train on the generated data; writes checkpoint.gclc and train_log.json.
+
+    A non-finite gradient leaves the training state at failure in
+    failure.json before the error propagates.
+    """
     paths = paths or ExperimentPaths.for_run(cfg.output_dir)
     _require_dataset(paths.train_data, "training")
     train_config = cfg.train_config()
@@ -380,15 +389,21 @@ def cmd_train(
             raise ConfigError(f"cannot resume: checkpoint {paths.checkpoint} does not exist")
         resume_from = paths.checkpoint
 
+    paths.failure.unlink(missing_ok=True)
     started = time.perf_counter()
-    _, log = train(
-        train_config,
-        pairs,
-        second_pairs=second_pairs,
-        checkpoint_path=paths.checkpoint,
-        resume_from=resume_from,
-        stop_after_epochs=stop_after_epochs,
-    )
+    try:
+        _, log = train(
+            train_config,
+            pairs,
+            second_pairs=second_pairs,
+            checkpoint_path=paths.checkpoint,
+            resume_from=resume_from,
+            stop_after_epochs=stop_after_epochs,
+        )
+    except NonFiniteGradientError as exc:
+        if exc.state_dump is not None:
+            _write_json(paths.failure, exc.state_dump)
+        raise
     elapsed = time.perf_counter() - started
 
     existing_records = []

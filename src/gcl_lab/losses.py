@@ -1,27 +1,42 @@
 """Contrastive losses over image/text/fused embedding triplets.
 
-Implements the standard two-direction contrastive loss, its generalized form
-with fused-modality query/candidate pairs, ablation subsets of the pair set,
-and an intra-modality separation baseline. Every loss returns its value, the
-per-pair breakdown, and analytic gradients with respect to all three
-embedding matrices (the fused matrix is treated as an independent input; the
-trainer composes the fusion Jacobian separately).
+Every loss is a list of terms evaluated by one kernel. A term names a query
+modality a, a positive modality b, candidate modalities and a kind of
+negatives. Anchor j of modality a has the positive logit
+s_ab[j, j] = dot(e_a^j, e_b^j) / tau, and its denominator is one of:
 
-Two denominator conventions are supported:
+- ``row``: a softmax over row j of the candidate blocks, positive included.
+- ``row_offdiag``: the positive plus the off-diagonal entries of row j of
+  the candidate blocks.
+- ``pooled_offdiag``: the positive plus every off-diagonal entry of the
+  candidate blocks, pooled over all rows. All diagonal entries are
+  positives of some anchor, so they are masked out of the shared pool.
 
-- ``algorithm_masked`` (default): for query modality ``a``, each term's
-  denominator is its own numerator plus every off-diagonal entry of the three
-  similarity blocks (a,i), (a,t), (a,it). All diagonal entries are positives
-  of some anchor and are masked out; the negative pool is shared across rows.
-- ``equation_literal``: the denominator is the unmasked row sum over all
-  modalities and all candidates, exactly as a textbook softmax would read.
+The variants are these term lists:
+
+- ``cl_loss``: i2t and t2i, each ``row`` over the opposite modality.
+- ``gcl_loss``: one term per configured pair (a, b), with all three
+  modalities as candidates. The ``algorithm_masked`` denominator (default)
+  is ``pooled_offdiag``; ``equation_literal`` is ``row``, the unmasked row
+  sum a textbook softmax would read.
+- ``gcl_loss_ablation``: ``gcl_loss`` without one named pair group.
+- ``intra_modality_separation_loss``: cl_loss's terms plus sep_i and sep_t,
+  whose positive is cross-modal and whose negatives are the
+  ``row_offdiag`` entries of the anchor's own modality.
+- ``two_direction_loss``: cl_loss's shape for any two modalities; the mixed
+  training objective's fused->image and text->fused tasks.
+
+Every loss returns its value, the per-term breakdown, and analytic gradients
+with respect to all three embedding matrices and the temperature. The fused
+matrix is treated as an independent input; the trainer composes the fusion
+Jacobian separately.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -195,127 +210,147 @@ class LossOutput:
     grad_tau: float = 0.0
 
 
-def _logsumexp(x: np.ndarray) -> float:
-    """Stable log-sum-exp of a flat array; -inf for empty input."""
-    if x.size == 0:
-        return -math.inf
-    m = float(np.max(x))
-    return m + math.log(float(np.sum(np.exp(x - m))))
+# One contrastive term: (per_term key, query modality, positive modality,
+# candidate modalities, negatives); negatives is "row", "row_offdiag" or
+# "pooled_offdiag" as described in the module docstring.
+Term = tuple[str, Modality, Modality, tuple[Modality, ...], str]
 
 
-def _logsumexp_rows(x: np.ndarray) -> np.ndarray:
-    m = np.max(x, axis=1, keepdims=True)
-    return (m + np.log(np.sum(np.exp(x - m), axis=1, keepdims=True)))[:, 0]
-
-
-def _offdiag_mask(n: int) -> np.ndarray:
-    return ~np.eye(n, dtype=bool)
-
-
-def _assemble_embedding_grads(
-    grid_grads: dict[tuple[Modality, Modality], np.ndarray],
+def _contrastive(
     rows: dict[Modality, np.ndarray],
+    terms: list[Term],
     tau: float,
-    scale: float,
-) -> tuple[LossGrads, float]:
-    """Chain-rule from per-block logit gradients to embedding gradients.
+    normalization: float,
+) -> LossOutput:
+    """Sum of contrastive terms divided by normalization, with its gradients.
 
-    Each block holds s_am = E_a @ E_m.T / tau, so dL/dE_a gets G @ E_m / tau
-    and dL/dE_m gets G.T @ E_a / tau (both accumulate when a == m). Also
-    returns dL/dtau = -sum(G * S)/tau, using S recomputed from the rows.
+    Each logit block s_am = E_a E_m^T / tau is computed once, and s_ma is
+    read as the transpose of s_am. Terms that share (query, candidates,
+    negatives) share one exponentiation and one normalizer. Logit gradients
+    G accumulate per stored block and reach the rows in one pass:
+    dE_a += G E_m / tau, dE_m += G^T E_a / tau, and
+    dtau = -sum(G * S) / tau with the stored S.
     """
     n, d = next(iter(rows.values())).shape
+    logits: dict[Pair, np.ndarray] = {}
+    logit_grads: dict[Pair, np.ndarray] = {}
+
+    def logit_block(a: Modality, m: Modality) -> np.ndarray:
+        if (a, m) not in logits:
+            if (m, a) in logits:
+                return logits[(m, a)].T
+            logits[(a, m)] = rows[a] @ rows[m].T / tau
+        return logits[(a, m)]
+
+    def grad_block(a: Modality, m: Modality) -> np.ndarray:
+        key = (a, m) if (a, m) in logits else (m, a)
+        if key not in logit_grads:
+            logit_grads[key] = np.zeros((n, n))
+        return logit_grads[key] if key == (a, m) else logit_grads[key].T
+
+    groups: dict[tuple[Modality, tuple[Modality, ...], str], list[tuple[str, Modality]]] = {}
+    for name, a, b, candidates, negatives in terms:
+        groups.setdefault((a, candidates, negatives), []).append((name, b))
+
+    term_sums: dict[str, float] = {}
+    diag = np.arange(n)
+    for (a, candidates, negatives), members in groups.items():
+        blocks = [logit_block(a, m) for m in candidates]
+        positives = {b: np.diagonal(logit_block(a, b))[:, None] for _, b in members}
+        # row kinds normalize each row on its own; the pooled kind shares one
+        # normalizer, so its shift and weight are scalars (kept as 1x1)
+        axis = None if negatives == "pooled_offdiag" else 1
+        exps = []
+        if negatives == "row":
+            shift = reduce(np.maximum, [s.max(axis=1, keepdims=True) for s in blocks])
+        else:
+            # diagonal entries are positives of some anchor: never negatives
+            offdiag = ~np.eye(n, dtype=bool)
+            shift = reduce(
+                np.maximum,
+                [np.max(s, axis=axis, keepdims=True, where=offdiag, initial=-np.inf) for s in blocks],
+            )
+        if negatives == "row" or n > 1:
+            for s in blocks:
+                e = np.exp(s - shift)
+                if negatives != "row":
+                    e[diag, diag] = 0.0
+                exps.append(e)
+            log_norm = shift + np.log(sum(e.sum(axis=axis, keepdims=True) for e in exps))
+        else:
+            log_norm = -np.inf  # N=1 leaves no off-diagonal negatives
+        if negatives == "row":
+            log_z = {b: log_norm for _, b in members}
+        else:
+            log_z = {b: np.logaddexp(positives[b], log_norm) for _, b in members}
+        for name, b in members:
+            term_sums[name] = float(np.sum(log_z[b] - positives[b]))
+
+        if exps:
+            # every candidate entry's share of each member's denominator
+            weight = sum(np.exp(shift - log_z[b]) for _, b in members)
+            if negatives == "pooled_offdiag":
+                weight = weight.sum()
+            for m, e in zip(candidates, exps):
+                e *= weight
+                grad_block(a, m)[...] += e
+        for _, b in members:
+            if negatives == "row":
+                grad_block(a, b)[diag, diag] -= 1.0
+            else:
+                grad_block(a, b)[diag, diag] += np.exp(positives[b] - log_z[b])[:, 0] - 1.0
+
     grads = {m: np.zeros((n, d)) for m in MODALITIES}
-    grad_tau = 0.0
-    for (a, m), g in grid_grads.items():
-        grads[a] += g @ rows[m] / tau
-        grads[m] += g.T @ rows[a] / tau
-        s_block = rows[a] @ rows[m].T / tau
-        grad_tau += float(np.sum(g * s_block))
-    grad_tau = -grad_tau / tau
-    return (
-        LossGrads(
-            images=grads[Modality.IMAGE] * scale,
-            texts=grads[Modality.TEXT] * scale,
-            fused=grads[Modality.FUSED] * scale,
-        ),
-        grad_tau * scale,
+    g_dot_s = 0.0
+    for (a, m), g in logit_grads.items():
+        grads[a] += g @ rows[m]
+        grads[m] += g.T @ rows[a]
+        g_dot_s += float(np.vdot(g, logits[(a, m)]))
+    scale = 1.0 / (tau * normalization)
+    return LossOutput(
+        value=sum(term_sums[name] for name, *_ in terms) / normalization,
+        per_term={name: term_sums[name] / n for name, *_ in terms},
+        grads=LossGrads(images=grads[_I] * scale, texts=grads[_T] * scale, fused=grads[_IT] * scale),
+        grad_tau=-g_dot_s * scale,
     )
+
+
+def _two_direction_terms(q: Modality, c: Modality) -> list[Term]:
+    """q2c and c2q, each a row softmax over the one opposite block."""
+    return [
+        (pair_name((q, c)), q, c, (c,), "row"),
+        (pair_name((c, q)), c, q, (q,), "row"),
+    ]
+
+
+def _triplet_rows(batch: TripletBatch) -> dict[Modality, np.ndarray]:
+    return {_I: batch.images.rows, _T: batch.texts.rows, _IT: batch.fused.rows}
 
 
 def gcl_loss(batch: TripletBatch, cfg: LossConfig | None = None) -> LossOutput:
     """Generalized contrastive loss over the configured query/candidate pairs.
 
     For each pair (a, b) and anchor j, the positive logit is
-    dot(e_a^j, e_b^j)/tau. Under algorithm_masked the denominator adds the
-    shared off-diagonal negative pool of blocks (a, i), (a, t), (a, it);
-    under equation_literal it is the full unmasked row sum over the three
-    blocks. Gradients are returned for all three matrices, with zeros for a
-    modality no retained pair touches.
+    dot(e_a^j, e_b^j)/tau and the candidates are all three modalities.
+    Under algorithm_masked the denominator adds the shared off-diagonal
+    negative pool of blocks (a, i), (a, t), (a, it); under equation_literal
+    it is the full unmasked row sum over the three blocks. Gradients are
+    returned for all three matrices, with zeros for a modality no retained
+    pair touches.
     """
     cfg = cfg if cfg is not None else LossConfig()
-    n = batch.n
-    rows = {
-        Modality.IMAGE: batch.images.rows,
-        Modality.TEXT: batch.texts.rows,
-        Modality.FUSED: batch.fused.rows,
-    }
-    tau = cfg.tau
-    query_mods = tuple(m for m in MODALITIES if any(a is m for a, _ in cfg.pair_set))
-    blocks = {(a, m): rows[a] @ rows[m].T / tau for a in query_mods for m in MODALITIES}
+    negatives = "pooled_offdiag" if cfg.denominator_mode is DenominatorMode.ALGORITHM_MASKED else "row"
+    terms = [(pair_name((a, b)), a, b, MODALITIES, negatives) for a, b in cfg.pair_set]
+    return _contrastive(_triplet_rows(batch), terms, cfg.tau, cfg.resolve_normalization(batch.n))
 
-    grid_grads = {key: np.zeros((n, n)) for key in blocks}
-    per_term: dict[str, float] = {}
-    total = 0.0
 
-    if cfg.denominator_mode is DenominatorMode.ALGORITHM_MASKED:
-        offdiag = _offdiag_mask(n)
-        # log of the shared negative pool per query modality (-inf when N=1)
-        neg_log = {
-            a: _logsumexp(np.concatenate([blocks[(a, m)][offdiag] for m in MODALITIES]))
-            for a in query_mods
-        }
-        # accumulated inverse denominators per query modality, in log space
-        neg_inv_z: dict[Modality, list[np.ndarray]] = {a: [] for a in query_mods}
-        for a, b in cfg.pair_set:
-            diag = np.diagonal(blocks[(a, b)])
-            log_z = np.logaddexp(diag, neg_log[a])
-            term_losses = log_z - diag
-            term_sum = float(np.sum(term_losses))
-            per_term[pair_name((a, b))] = term_sum / n
-            total += term_sum
-            q = np.exp(diag - log_z)
-            grid_grads[(a, b)][np.arange(n), np.arange(n)] += q - 1.0
-            neg_inv_z[a].append(-log_z)
-        for a in query_mods:
-            log_w = _logsumexp(np.concatenate(neg_inv_z[a]))
-            for m in MODALITIES:
-                # off-diagonal entry (r,k) appears in every denominator of
-                # query modality a, weighted by exp(s)/Z summed over terms
-                contrib = np.exp(blocks[(a, m)] + log_w)
-                np.fill_diagonal(contrib, 0.0)
-                grid_grads[(a, m)] += contrib
-    else:
-        row_log_z = {
-            a: _logsumexp_rows(np.concatenate([blocks[(a, m)] for m in MODALITIES], axis=1))
-            for a in query_mods
-        }
-        pairs_per_query = {a: sum(1 for q, _ in cfg.pair_set if q is a) for a in query_mods}
-        for a in query_mods:
-            softmax_scale = float(pairs_per_query[a])
-            for m in MODALITIES:
-                grid_grads[(a, m)] += softmax_scale * np.exp(blocks[(a, m)] - row_log_z[a][:, None])
-        for a, b in cfg.pair_set:
-            diag = np.diagonal(blocks[(a, b)])
-            term_losses = row_log_z[a] - diag
-            term_sum = float(np.sum(term_losses))
-            per_term[pair_name((a, b))] = term_sum / n
-            total += term_sum
-            grid_grads[(a, b)][np.arange(n), np.arange(n)] -= 1.0
-
-    normalization = cfg.resolve_normalization(n)
-    grads, grad_tau = _assemble_embedding_grads(grid_grads, rows, tau, 1.0 / normalization)
-    return LossOutput(value=total / normalization, per_term=per_term, grads=grads, grad_tau=grad_tau)
+def _check_cl_inputs(loss: str, images: EmbeddingMatrix, texts: EmbeddingMatrix, cfg: LossConfig) -> None:
+    if set(cfg.pair_set) != set(CL_PAIR_SET):
+        raise ConfigError(
+            f"{loss} is defined for the pair set {{i2t, t2i}}, got {[pair_name(p) for p in cfg.pair_set]}"
+        )
+    if images.rows.shape != texts.rows.shape:
+        raise ShapeMismatchError(f"image/text shapes disagree: {images.rows.shape} vs {texts.rows.shape}")
 
 
 def cl_loss(
@@ -330,37 +365,21 @@ def cl_loss(
     same-modality or fused negatives. Normalization defaults to 2N.
     """
     cfg = cfg if cfg is not None else LossConfig(pair_set=CL_PAIR_SET)
-    if set(cfg.pair_set) != set(CL_PAIR_SET):
-        raise ConfigError(
-            f"cl_loss is defined for the pair set {{i2t, t2i}}, got {[pair_name(p) for p in cfg.pair_set]}"
-        )
-    if images.rows.shape != texts.rows.shape:
-        raise ShapeMismatchError(f"image/text shapes disagree: {images.rows.shape} vs {texts.rows.shape}")
-    n = images.n
-    tau = cfg.tau
-    rows = {
-        Modality.IMAGE: images.rows,
-        Modality.TEXT: texts.rows,
-        Modality.FUSED: np.zeros_like(images.rows),
-    }
-    s_it = rows[Modality.IMAGE] @ rows[Modality.TEXT].T / tau
+    _check_cl_inputs("cl_loss", images, texts, cfg)
+    rows = {_I: images.rows, _T: texts.rows}
+    return _contrastive(rows, _two_direction_terms(_I, _T), cfg.tau, cfg.resolve_normalization(images.n))
 
-    grid_grads: dict[tuple[Modality, Modality], np.ndarray] = {}
-    per_term: dict[str, float] = {}
-    total = 0.0
-    for a, b, s in ((_I, _T, s_it), (_T, _I, s_it.T)):
-        log_z = _logsumexp_rows(s)
-        diag = np.diagonal(s)
-        term_sum = float(np.sum(log_z - diag))
-        per_term[pair_name((a, b))] = term_sum / n
-        total += term_sum
-        g = np.exp(s - log_z[:, None])
-        g[np.arange(n), np.arange(n)] -= 1.0
-        grid_grads[(a, b)] = g
 
-    normalization = cfg.resolve_normalization(n)
-    grads, grad_tau = _assemble_embedding_grads(grid_grads, rows, tau, 1.0 / normalization)
-    return LossOutput(value=total / normalization, per_term=per_term, grads=grads, grad_tau=grad_tau)
+def two_direction_loss(batch: TripletBatch, query: Modality, candidate: Modality, tau: float) -> LossOutput:
+    """Symmetric contrastive loss between two modalities of a triplet batch.
+
+    The terms are query->candidate and candidate->query, each with the one
+    opposite block as its row-wise denominator (cl_loss's shape for any pair
+    of modalities), normalized by 2N. The mixed training objective uses it
+    for fused->image and text->fused retrieval.
+    """
+    terms = _two_direction_terms(query, candidate)
+    return _contrastive(_triplet_rows(batch), terms, tau, float(2 * batch.n))
 
 
 def gcl_loss_ablation(
@@ -397,63 +416,16 @@ def intra_modality_separation_loss(
     Requires N >= 2 so the separation term has at least one negative.
     """
     cfg = cfg if cfg is not None else LossConfig(pair_set=CL_PAIR_SET)
-    if set(cfg.pair_set) != set(CL_PAIR_SET):
-        raise ConfigError(
-            f"intra_modality_separation_loss uses the pair set {{i2t, t2i}}, got "
-            f"{[pair_name(p) for p in cfg.pair_set]}"
-        )
-    if images.rows.shape != texts.rows.shape:
-        raise ShapeMismatchError(f"image/text shapes disagree: {images.rows.shape} vs {texts.rows.shape}")
+    _check_cl_inputs("intra_modality_separation_loss", images, texts, cfg)
     n = images.n
     if n < 2:
         raise BatchTooSmallError(f"separation term needs N >= 2 same-modality rows, got N={n}")
-    tau = cfg.tau
-    rows = {
-        Modality.IMAGE: images.rows,
-        Modality.TEXT: texts.rows,
-        Modality.FUSED: np.zeros_like(images.rows),
-    }
-    cl_part = cl_loss(images, texts, cfg)
-
-    grid_grads = {
-        (_I, _I): np.zeros((n, n)),
-        (_T, _T): np.zeros((n, n)),
-        (_I, _T): np.zeros((n, n)),
-        (_T, _I): np.zeros((n, n)),
-    }
-    s_it = rows[_I] @ rows[_T].T / tau
-    per_term = dict(cl_part.per_term)
-    sep_total = 0.0
-    offdiag = _offdiag_mask(n)
-    for a, b, s_pos in ((_I, _T, s_it), (_T, _I, s_it.T)):
-        s_same = rows[a] @ rows[a].T / tau
-        diag = np.diagonal(s_pos)
-        # row-wise same-modality negatives, self-similarity dropped before
-        # the stable reduction (never an additive -inf sentinel)
-        neg_compact = s_same[offdiag].reshape(n, n - 1)
-        neg_log = _logsumexp_rows(neg_compact)
-        log_z = np.logaddexp(diag, neg_log)
-        term_sum = float(np.sum(log_z - diag))
-        per_term[f"sep_{a.code}"] = term_sum / n
-        sep_total += term_sum
-        q = np.exp(diag - log_z)
-        grid_grads[(a, b)][np.arange(n), np.arange(n)] += q - 1.0
-        g_same = np.zeros((n, n))
-        g_same[offdiag] = np.exp(neg_compact - log_z[:, None]).ravel()
-        grid_grads[(a, a)] += g_same
-
-    normalization = cfg.resolve_normalization(n)
-    sep_grads, sep_grad_tau = _assemble_embedding_grads(grid_grads, rows, tau, 1.0 / normalization)
-    return LossOutput(
-        value=cl_part.value + sep_total / normalization,
-        per_term=per_term,
-        grads=LossGrads(
-            images=cl_part.grads.images + sep_grads.images,
-            texts=cl_part.grads.texts + sep_grads.texts,
-            fused=np.zeros_like(images.rows),
-        ),
-        grad_tau=cl_part.grad_tau + sep_grad_tau,
-    )
+    terms = _two_direction_terms(_I, _T) + [
+        ("sep_i", _I, _T, (_I,), "row_offdiag"),
+        ("sep_t", _T, _I, (_T,), "row_offdiag"),
+    ]
+    rows = {_I: images.rows, _T: texts.rows}
+    return _contrastive(rows, terms, cfg.tau, cfg.resolve_normalization(n))
 
 
 def loss_gradient_check(

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import fuse_sum_rows, ZERO_NORM_THRESHOLD
+from .embeddings import Modality, fuse_sum_rows, normalize_rows, normalize_rows_backward
 from .encoders import EncoderConfig, build_encoder, LinearEncoder, MlpEncoder
 from .errors import (
     ConfigError,
@@ -35,7 +35,6 @@ from .errors import (
     FormatError,
     NonFiniteGradientError,
     ShapeMismatchError,
-    ZeroVectorError,
 )
 from .losses import (
     ABLATION_DROPS,
@@ -48,6 +47,7 @@ from .losses import (
     intra_modality_separation_loss,
     pair_name,
     parse_pair,
+    two_direction_loss,
 )
 from .optim import OptimizerState, ScheduleConfig, adamw_step, lr_at
 from .synth import SyntheticPair, dataset_to_arrays
@@ -57,6 +57,11 @@ CHECKPOINT_VERSION = 1
 _CKPT_HEADER = struct.Struct("<4sH32sQII")
 
 BASE_VARIANTS = ("gcl", "cl", "imsep", "gcl_plus_triplet")
+
+# The mixed objective's triplet-style task by step parity, as (query,
+# candidate): even steps retrieve images from fused queries, odd steps
+# retrieve fused candidates from text queries.
+MIXED_TASKS = ((Modality.FUSED, Modality.IMAGE), (Modality.TEXT, Modality.FUSED))
 
 
 def parse_variant(variant: str) -> tuple[str, str | None]:
@@ -176,7 +181,8 @@ def fusion_backprop(
     e_it = normalize(e_i + e_t) when renormalize is set, else the raw sum.
     The sum has identity Jacobian toward each input, so both inputs receive
     the same gradient: grad_fused itself, or (I - u u^T)/||s|| applied
-    row-wise with s = e_i + e_t, u = s/||s||.
+    row-wise with s = e_i + e_t, u = s/||s||. A zero row of s raises
+    ZeroVectorError.
     """
     if grad_fused.shape != e_i.shape or e_i.shape != e_t.shape:
         raise ShapeMismatchError(
@@ -184,14 +190,8 @@ def fusion_backprop(
         )
     if not renormalize:
         return grad_fused.copy(), grad_fused.copy()
-    s = e_i + e_t
-    norms = np.linalg.norm(s, axis=1)
-    if np.any(norms < ZERO_NORM_THRESHOLD):
-        bad = int(np.argmin(norms))
-        raise ZeroVectorError(f"fused row {bad} has norm {norms[bad]:.3e}; cannot backprop renormalization")
-    u = s / norms[:, None]
-    inner = np.sum(grad_fused * u, axis=1, keepdims=True)
-    g = (grad_fused - u * inner) / norms[:, None]
+    u, norms = normalize_rows(e_i + e_t)
+    g = normalize_rows_backward(grad_fused, u, norms)
     return g, g.copy()
 
 
@@ -247,32 +247,11 @@ def _loss_for_variant(kind, drop, batch, loss_cfg):
     return gcl_loss(batch, loss_cfg)
 
 
-def _two_direction_nce(q: np.ndarray, c: np.ndarray, tau: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """Symmetric InfoNCE between a query matrix and a candidate matrix.
-
-    Used by the mixed objective's triplet-style term; returns the loss
-    (normalized by 2N) and gradients for both matrices.
-    """
-    n = q.shape[0]
-    s = q @ c.T / tau
-    total = 0.0
-    grad_q = np.zeros_like(q)
-    grad_c = np.zeros_like(c)
-    for rows, is_forward in ((s, True), (s.T, False)):
-        m = np.max(rows, axis=1, keepdims=True)
-        log_z = (m + np.log(np.sum(np.exp(rows - m), axis=1, keepdims=True)))[:, 0]
-        diag = np.diagonal(rows)
-        total += float(np.sum(log_z - diag))
-        g = np.exp(rows - log_z[:, None])
-        g[np.arange(n), np.arange(n)] -= 1.0
-        if is_forward:
-            grad_q += g @ c / tau
-            grad_c += g.T @ q / tau
-        else:
-            grad_c += g @ q / tau
-            grad_q += g.T @ c / tau
-    scale = 1.0 / (2 * n)
-    return total * scale, grad_q * scale, grad_c * scale
+def _encoder_output_grads(out, e_i: np.ndarray, e_t: np.ndarray, renormalize: bool):
+    """Gradients reaching each encoder's output: its own partial plus its share
+    of the fused partial, chained through the fusion."""
+    gf_i, gf_t = fusion_backprop(out.grads.fused, e_i, e_t, renormalize)
+    return out.grads.images + gf_i, out.grads.texts + gf_t
 
 
 def train(
@@ -395,11 +374,7 @@ def train(
             out = _loss_for_variant(kind, drop, batch, loss_cfg)
 
             value = out.value
-            grad_i = out.grads.images.copy()
-            grad_t = out.grads.texts.copy()
-            gf_i, gf_t = fusion_backprop(out.grads.fused, e_i, e_t, config.renormalize_fusion)
-            grad_i += gf_i
-            grad_t += gf_t
+            grad_i, grad_t = _encoder_output_grads(out, e_i, e_t, config.renormalize_fusion)
             grad_log_tau = out.grad_tau * tau_now
 
             record = {
@@ -420,23 +395,14 @@ def train(
                     param_grads[f"txt.{key}"] = g
 
             if use_mixed:
-                # alternate the triplet-style task by step parity:
-                # even steps retrieve images from fused queries, odd steps
-                # retrieve fused candidates from text queries
                 idx2 = order2[(b % steps2) * config.batch_size : (b % steps2 + 1) * config.batch_size]
                 e2_i, cache2_i = image_encoder.forward(x2_img_all[idx2])
                 e2_t, cache2_t = text_encoder.forward(x2_txt_all[idx2])
                 fused2 = fuse_sum_rows(e2_i, e2_t, renormalize=config.renormalize_fusion)
-                if step % 2 == 0:
-                    t_value, g_q, g_c = _two_direction_nce(fused2, e2_i, tau_now)
-                    g2f_i, g2f_t = fusion_backprop(g_q, e2_i, e2_t, config.renormalize_fusion)
-                    grad2_i = g2f_i + g_c
-                    grad2_t = g2f_t
-                else:
-                    t_value, g_q, g_c = _two_direction_nce(e2_t, fused2, tau_now)
-                    g2f_i, g2f_t = fusion_backprop(g_c, e2_i, e2_t, config.renormalize_fusion)
-                    grad2_i = g2f_i
-                    grad2_t = g2f_t + g_q
+                batch2 = TripletBatch.from_rows(e2_i, e2_t, fused2, validate_norms=False)
+                t_out = two_direction_loss(batch2, *MIXED_TASKS[step % 2], tau_now)
+                t_value = t_out.value
+                grad2_i, grad2_t = _encoder_output_grads(t_out, e2_i, e2_t, config.renormalize_fusion)
                 w = config.triplet_weight
                 value = value + w * t_value
                 record["loss"] = value

@@ -10,7 +10,8 @@ import json
 import numpy as np
 import pytest
 
-from gcl_lab.errors import ConfigError, FormatError, InvalidDimsError
+import gcl_lab.training as training
+from gcl_lab.errors import ConfigError, FormatError, InvalidDimsError, NonFiniteGradientError
 from gcl_lab.experiment import (
     ABLATION_VARIANTS,
     SCHEMA_VERSION,
@@ -25,6 +26,7 @@ from gcl_lab.experiment import (
     cmd_verify,
     materialize_config,
 )
+from gcl_lab.losses import LossGrads, LossOutput
 from gcl_lab.training import load_checkpoint
 
 TINY = {
@@ -261,6 +263,25 @@ class TestPipelineErrors:
         wider = tiny_config(tmp_path / "run", data={**TINY["data"], "d_in": 16, "k": 4})
         with pytest.raises(ConfigError, match="does not match config d_in"):
             cmd_train(wider, paths)
+
+    def test_non_finite_gradient_leaves_failure_json(self, tmp_path, monkeypatch):
+        cfg = tiny_config(tmp_path / "run")
+        paths = ExperimentPaths.for_run(cfg.output_dir)
+        cmd_generate(cfg, paths)
+
+        def bad_grad_loss(batch, cfg=None):
+            g = np.full_like(batch.images.rows, np.nan)
+            zeros = LossGrads(g, np.zeros_like(batch.texts.rows), np.zeros_like(batch.fused.rows))
+            return LossOutput(value=1.0, per_term={}, grads=zeros)
+
+        monkeypatch.setattr(training, "gcl_loss", bad_grad_loss)
+        with pytest.raises(NonFiniteGradientError, match="non-finite gradients at step 0"):
+            cmd_train(cfg, paths)
+        dump = json.loads(paths.failure.read_text())
+        assert dump["step"] == 0
+        assert dump["epoch"] == 0
+        assert "img.W" in dump["bad_keys"]
+        assert "img.W" in dump["param_norms"]
 
 
 class TestDeterminism:

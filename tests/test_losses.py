@@ -366,6 +366,10 @@ class TestGradientCheck:
         eps = 1e-6
         for fn in (
             lambda b, tau: gcl_loss(b, LossConfig(tau=tau)),
+            lambda b, tau: gcl_loss(
+                b, LossConfig(tau=tau, denominator_mode=DenominatorMode.EQUATION_LITERAL)
+            ),
+            lambda b, tau: gcl_loss_ablation(b, "it_candidate", LossConfig(tau=tau)),
             lambda b, tau: cl_loss(b.images, b.texts, LossConfig(tau=tau, pair_set=CL_PAIR_SET)),
             lambda b, tau: intra_modality_separation_loss(
                 b.images, b.texts, LossConfig(tau=tau, pair_set=CL_PAIR_SET)

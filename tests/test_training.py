@@ -20,10 +20,19 @@ from gcl_lab.errors import (
     StepOutOfRangeError,
     ZeroVectorError,
 )
-from gcl_lab.losses import LossConfig, LossGrads, LossOutput
+from gcl_lab.losses import (
+    LossConfig,
+    LossGrads,
+    LossOutput,
+    TripletBatch,
+    loss_gradient_check,
+    pair_name,
+    two_direction_loss,
+)
 from gcl_lab.optim import OptimizerState, ScheduleConfig, adamw_step, lr_at
 from gcl_lab.synth import generate_dataset
 from gcl_lab.training import (
+    MIXED_TASKS,
     Checkpoint,
     TrainConfig,
     config_hash,
@@ -35,6 +44,8 @@ from gcl_lab.training import (
     save_checkpoint,
     train,
 )
+
+from oracles import oracle_cl
 
 
 class TestSchedule:
@@ -217,6 +228,26 @@ class TestFusionBackprop:
         e = np.array([[1.0, 0.0]])
         with pytest.raises(ZeroVectorError):
             fusion_backprop(np.ones((1, 2)), e, -e, renormalize=True)
+
+
+class TestMixedObjectiveTerm:
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_matches_oracle_and_finite_differences(self, parity):
+        query, candidate = MIXED_TASKS[parity]
+        rng = np.random.default_rng(40 + parity)
+        batch = TripletBatch.from_rows(*(l2_normalize_rows(rng.standard_normal((4, 5))) for _ in range(3)))
+        rows = {
+            Modality.IMAGE: batch.images.rows,
+            Modality.TEXT: batch.texts.rows,
+            Modality.FUSED: batch.fused.rows,
+        }
+        out = two_direction_loss(batch, query, candidate, 0.07)
+        want_value, want_terms = oracle_cl(rows[query], rows[candidate], 0.07)
+        assert abs(out.value - want_value) < 1e-12
+        assert abs(out.per_term[pair_name((query, candidate))] - want_terms["i2t"]) < 1e-12
+        assert abs(out.per_term[pair_name((candidate, query))] - want_terms["t2i"]) < 1e-12
+        fn = lambda b: two_direction_loss(b, query, candidate, 0.07)
+        assert loss_gradient_check(fn, batch, 1e-5) < 1e-6
 
 
 class TestForwardBatch:
