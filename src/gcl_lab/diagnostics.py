@@ -3,9 +3,9 @@
 The gap table reports, per modality, the renormalized mean embedding (the
 mean direction on the sphere) and the pairwise cosines between those mean
 directions — low off-diagonal cosine is the numeric signature of a modality
-gap. The PCA projection gives a 2-D picture of the same geometry computed by
-plain power iteration with deflation, so the whole pipeline stays exact,
-deterministic, and dependency-free.
+gap. The PCA projection gives a 2-D picture of the same geometry from the
+symmetric eigendecomposition of the d x d covariance, with a fixed sign
+convention so the output is deterministic.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .errors import (
     DegenerateDataError,
     InvalidDimsError,
     MissingModalityError,
-    NoConvergenceError,
     ShapeMismatchError,
 )
 
@@ -127,37 +126,6 @@ def modality_gap_table(
     )
 
 
-def _orthonormal_complement(v: np.ndarray) -> np.ndarray:
-    """A deterministic unit vector orthogonal to v (for rank-deficient data)."""
-    basis_index = int(np.argmin(np.abs(v)))
-    candidate = np.zeros_like(v)
-    candidate[basis_index] = 1.0
-    candidate -= (candidate @ v) * v
-    return candidate / np.linalg.norm(candidate)
-
-
-def _power_iteration(
-    cov: np.ndarray, tol: float, max_iters: int, rng: np.random.Generator
-) -> tuple[np.ndarray, float]:
-    """Dominant eigenpair of a symmetric PSD matrix by power iteration."""
-    v = rng.standard_normal(cov.shape[0])
-    v /= np.linalg.norm(v)
-    for _ in range(max_iters):
-        w = cov @ v
-        norm = np.linalg.norm(w)
-        if norm < _VARIANCE_FLOOR:
-            # The start vector fell in the (numerical) null space; any
-            # direction has eigenvalue ~0, so the current one will do.
-            return v, float(v @ cov @ v)
-        w /= norm
-        # PSD matrices cannot flip sign, but compare both orientations so a
-        # tiny negative eigenvalue from round-off cannot stall convergence.
-        if min(np.linalg.norm(w - v), np.linalg.norm(w + v)) < tol:
-            return w, float(w @ cov @ w)
-        v = w
-    raise NoConvergenceError(f"power iteration did not converge in {max_iters} iterations")
-
-
 def _fix_sign(v: np.ndarray) -> np.ndarray:
     """Canonical orientation: the largest-magnitude coordinate is positive."""
     idx = int(np.argmax(np.abs(v)))
@@ -196,15 +164,12 @@ class PcaProjection:
 
 def pca_2d(
     samples: Mapping[Modality, np.ndarray] | Iterable[tuple[np.ndarray, Modality]],
-    tol: float = 1e-9,
-    max_iters: int = 10000,
 ) -> PcaProjection:
     """Project samples onto their top two principal directions.
 
-    The covariance of the mean-centered samples is decomposed by power
-    iteration; the dominant direction is deflated out before the second
-    iteration. Components follow the largest-coordinate-positive sign
-    convention, so the output is deterministic for a given sample set.
+    The directions are the top two eigenvectors of the covariance of the
+    mean-centered samples. Components follow the largest-coordinate-positive
+    sign convention, so the output is deterministic for a given sample set.
     """
     matrix, tags = _group_samples(samples)
     n = matrix.shape[0]
@@ -219,20 +184,10 @@ def pca_2d(
     if total_variance < _VARIANCE_FLOOR:
         raise DegenerateDataError(f"total variance {total_variance:.3e} is numerically zero")
 
-    rng = np.random.default_rng(0)
-    first, lam1 = _power_iteration(cov, tol, max_iters, rng)
-    deflated = cov - lam1 * np.outer(first, first)
-    if float(np.trace(deflated)) / total_variance < 1e-10:
-        # Effectively rank-1 data: finish the basis deterministically.
-        second, lam2 = _orthonormal_complement(first), 0.0
-    else:
-        second, lam2 = _power_iteration(deflated, tol, max_iters, rng)
-        # Re-orthogonalize against round-off drift from the deflation.
-        second -= (second @ first) * first
-        second /= np.linalg.norm(second)
-        lam2 = float(second @ cov @ second)
-    components = np.stack([_fix_sign(first), _fix_sign(second)])
-    ratio = np.array([max(lam1, 0.0), max(lam2, 0.0)]) / total_variance
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    top = [-1, -2]  # eigh sorts eigenvalues ascending
+    components = np.stack([_fix_sign(v) for v in eigvecs[:, top].T])
+    ratio = np.maximum(eigvals[top], 0.0) / total_variance
     return PcaProjection(
         components=components,
         projected=centered @ components.T,

@@ -88,9 +88,5 @@ class DivergenceDetectedError(GclError):
     """The training loss became non-finite."""
 
 
-class NoConvergenceError(GclError):
-    """An iterative routine exhausted its iteration budget."""
-
-
 class DegenerateDataError(GclError):
     """Input data carries no usable signal (e.g. zero total variance)."""

@@ -11,7 +11,10 @@ modality gap while keeping retrieval ground truth exact. A duplication
 factor creates several pairs per concept (fresh noise each) for harder
 retrieval pools and query/candidate splits.
 
-Datasets are stored in the GCLD binary format (little-endian):
+A dataset in memory is one NumPy record array of ``record_dtype(d_in)``,
+which is also the on-disk record, so files are written and read without
+per-pair conversion. Datasets are stored in the GCLD binary format
+(little-endian):
 
     magic "GCLD" | version u16 | d_in u32 | n_pairs u32 | k u32
     | sigma f32 | seed u64
@@ -40,21 +43,9 @@ _HEADER = struct.Struct("<4sHIIIfQ")
 SPLITS = ("train", "eval")
 
 
-@dataclass(frozen=True)
-class LatentConcept:
-    """One underlying semantic factor; all pairs of a concept share its z."""
-
-    id: int
-    z: np.ndarray
-
-
-@dataclass(frozen=True)
-class SyntheticPair:
-    """A matched image/text feature pair (float32, length d_in each)."""
-
-    concept_id: int
-    x_img: np.ndarray
-    x_txt: np.ndarray
+def record_dtype(d_in: int) -> np.dtype:
+    """The GCLD record: a concept id and the two float32 feature vectors."""
+    return np.dtype([("concept_id", "<u4"), ("x_img", "<f4", (d_in,)), ("x_txt", "<f4", (d_in,))])
 
 
 @dataclass(frozen=True)
@@ -102,8 +93,8 @@ def generate_dataset(
     duplication: int = 1,
     split: str = "train",
     projection_seed: int | None = None,
-) -> tuple[list[SyntheticPair], DatasetManifest]:
-    """Generate a paired dataset; bit-identical for identical arguments.
+) -> tuple[np.recarray, DatasetManifest]:
+    """Generate a paired dataset of GCLD records; bit-identical for identical arguments.
 
     Draw order is fixed: A_img, A_txt, one latent per concept, then per-pair
     noise (image then text, in pair order). Arithmetic runs in float64 and
@@ -143,24 +134,17 @@ def generate_dataset(
         a_img, a_txt = modality_projections(k, d_in, effective_projection)
 
     n_concepts = n_pairs // duplication
-    concepts = []
-    for cid in range(n_concepts):
-        z = rng.standard_normal(k)
-        z /= np.linalg.norm(z)
-        concepts.append(LatentConcept(id=cid, z=z))
-
-    pairs = []
-    for p in range(n_pairs):
-        z = concepts[p // duplication].z
-        x_img = a_img @ z + sigma32 * rng.standard_normal(d_in)
-        x_txt = a_txt @ z + sigma32 * rng.standard_normal(d_in)
-        pairs.append(
-            SyntheticPair(
-                concept_id=p // duplication,
-                x_img=x_img.astype(np.float32),
-                x_txt=x_txt.astype(np.float32),
-            )
-        )
+    z = rng.standard_normal((n_concepts, k, 1))
+    z /= np.sqrt(z.transpose(0, 2, 1) @ z)
+    # axes: concept, view of the concept, modality (image, text), feature
+    x = rng.standard_normal((n_concepts, duplication, 2, d_in))
+    x *= sigma32
+    x[:, :, 0] += (a_img @ z)[:, None, :, 0]
+    x[:, :, 1] += (a_txt @ z)[:, None, :, 0]
+    pairs = np.recarray(n_pairs, dtype=record_dtype(d_in))
+    pairs.concept_id = np.arange(n_pairs) // duplication
+    pairs.x_img = x[:, :, 0].reshape(n_pairs, d_in)
+    pairs.x_txt = x[:, :, 1].reshape(n_pairs, d_in)
     manifest = DatasetManifest(
         n_pairs=n_pairs,
         d_in=d_in,
@@ -174,24 +158,27 @@ def generate_dataset(
     return pairs, manifest
 
 
-def dataset_to_arrays(pairs: list[SyntheticPair]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack pairs into (concept_ids, X_img, X_txt); features widened to float64."""
-    ids = np.array([p.concept_id for p in pairs], dtype=np.int64)
-    x_img = np.stack([p.x_img for p in pairs]).astype(np.float64)
-    x_txt = np.stack([p.x_txt for p in pairs]).astype(np.float64)
-    return ids, x_img, x_txt
+def dataset_to_arrays(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split records into (concept_ids, X_img, X_txt); features widened to float64."""
+    return (
+        pairs["concept_id"].astype(np.int64),
+        pairs["x_img"].astype(np.float64),
+        pairs["x_txt"].astype(np.float64),
+    )
 
 
 def _sidecar_path(path: Path) -> Path:
     return path.with_name(path.name + ".json")
 
 
-def write_dataset(pairs: list[SyntheticPair], manifest: DatasetManifest, path: str | Path) -> None:
+def write_dataset(pairs: np.ndarray, manifest: DatasetManifest, path: str | Path) -> None:
     """Write the GCLD binary file plus its JSON manifest sidecar."""
     path = Path(path)
-    if len(pairs) != manifest.n_pairs:
-        raise ConfigError(f"manifest says {manifest.n_pairs} pairs, got {len(pairs)}")
-    record = struct.Struct(f"<I{manifest.d_in}f{manifest.d_in}f")
+    dtype = record_dtype(manifest.d_in)
+    if not isinstance(pairs, np.ndarray) or pairs.dtype != dtype:
+        raise ConfigError(f"pairs must be an array of GCLD records {dtype}")
+    if pairs.shape != (manifest.n_pairs,):
+        raise ConfigError(f"manifest says {manifest.n_pairs} pairs, got shape {pairs.shape}")
     with open(path, "wb") as fh:
         fh.write(
             _HEADER.pack(
@@ -204,24 +191,19 @@ def write_dataset(pairs: list[SyntheticPair], manifest: DatasetManifest, path: s
                 manifest.seed,
             )
         )
-        for pair in pairs:
-            if pair.x_img.shape != (manifest.d_in,) or pair.x_txt.shape != (manifest.d_in,):
-                raise ConfigError(
-                    f"pair features must have shape ({manifest.d_in},), got "
-                    f"{pair.x_img.shape} / {pair.x_txt.shape}"
-                )
-            fh.write(record.pack(pair.concept_id, *pair.x_img.tolist(), *pair.x_txt.tolist()))
+        fh.write(pairs.tobytes())
     sidecar = {"format": "gcld-manifest", "version": FORMAT_VERSION, **asdict(manifest)}
     _sidecar_path(path).write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
 
 
-def read_dataset(path: str | Path) -> tuple[list[SyntheticPair], DatasetManifest]:
+def read_dataset(path: str | Path) -> tuple[np.recarray, DatasetManifest]:
     """Read a GCLD file back; exact inverse of write_dataset.
 
     Raises FormatError (with the byte offset of the problem) on bad magic,
     unsupported version, inconsistent header dimensions, truncation, or
-    trailing bytes. The sidecar, when present, supplies split/duplication
-    and must agree with the binary header.
+    trailing bytes. The sidecar, when present, supplies split/duplication;
+    it must be a UTF-8 JSON object that agrees with the binary header. The
+    returned records are a read-only view of the file's bytes.
     """
     path = Path(path)
     blob = path.read_bytes()
@@ -237,30 +219,24 @@ def read_dataset(path: str | Path) -> tuple[list[SyntheticPair], DatasetManifest
     if k < 1 or k > d_in:
         raise FormatError(f"header k={k} inconsistent with d_in={d_in}", offset=14)
 
-    record = struct.Struct(f"<I{d_in}f{d_in}f")
-    expected = _HEADER.size + n_pairs * record.size
+    dtype = record_dtype(d_in)
+    expected = _HEADER.size + n_pairs * dtype.itemsize
     if len(blob) != expected:
         raise FormatError(
             f"payload size mismatch: header implies {expected} bytes, file has {len(blob)}",
             offset=min(len(blob), expected),
         )
-    pairs = []
-    offset = _HEADER.size
-    for _ in range(n_pairs):
-        fields = record.unpack_from(blob, offset)
-        pairs.append(
-            SyntheticPair(
-                concept_id=fields[0],
-                x_img=np.array(fields[1 : 1 + d_in], dtype=np.float32),
-                x_txt=np.array(fields[1 + d_in :], dtype=np.float32),
-            )
-        )
-        offset += record.size
+    pairs = np.frombuffer(blob, dtype=dtype, offset=_HEADER.size).view(np.recarray)
 
     split, duplication, projection_seed = "train", 1, seed
     sidecar_path = _sidecar_path(path)
     if sidecar_path.exists():
-        sidecar = json.loads(sidecar_path.read_text())
+        try:
+            sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # also UnicodeDecodeError
+            raise FormatError(f"sidecar {sidecar_path} is not valid UTF-8 JSON: {exc}") from exc
+        if not isinstance(sidecar, dict):
+            raise FormatError(f"sidecar {sidecar_path} must be a JSON object, got {type(sidecar).__name__}")
         for field_name, header_value in (("n_pairs", n_pairs), ("d_in", d_in), ("k", k), ("seed", seed)):
             if sidecar.get(field_name) != header_value:
                 raise FormatError(

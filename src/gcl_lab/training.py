@@ -50,7 +50,7 @@ from .losses import (
     two_direction_loss,
 )
 from .optim import OptimizerState, ScheduleConfig, adamw_step, lr_at
-from .synth import SyntheticPair, dataset_to_arrays
+from .synth import dataset_to_arrays
 
 CHECKPOINT_MAGIC = b"GCLC"
 CHECKPOINT_VERSION = 1
@@ -256,8 +256,8 @@ def _encoder_output_grads(out, e_i: np.ndarray, e_t: np.ndarray, renormalize: bo
 
 def train(
     config: TrainConfig,
-    pairs: list[SyntheticPair],
-    second_pairs: list[SyntheticPair] | None = None,
+    pairs: np.ndarray,
+    second_pairs: np.ndarray | None = None,
     checkpoint_path: str | Path | None = None,
     resume_from: "str | Path | Checkpoint | None" = None,
     stop_after_epochs: int | None = None,
@@ -405,6 +405,7 @@ def train(
                 grad2_i, grad2_t = _encoder_output_grads(t_out, e2_i, e2_t, config.renormalize_fusion)
                 w = config.triplet_weight
                 value = value + w * t_value
+                grad_log_tau += w * t_out.grad_tau * tau_now
                 record["loss"] = value
                 record["triplet_loss"] = t_value
                 if not config.freeze_image:

@@ -8,6 +8,8 @@ an independently derived value.
 from __future__ import annotations
 
 import math
+import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -110,3 +112,45 @@ def oracle_imsep(images: np.ndarray, texts: np.ndarray, tau: float) -> float:
                     den += math.exp(float(np.dot(mats[a][j], mats[a][k])) / tau)
             sep += -math.log(num / den)
     return cl_value + sep / (2 * n)
+
+
+def oracle_gcld_records(
+    n_pairs: int,
+    k: int,
+    d_in: int,
+    sigma: float,
+    seed: int,
+    duplication: int = 1,
+    projection_seed: int | None = None,
+) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """Synthetic records drawn one concept and one pair at a time.
+
+    Draw order: A_img, A_txt (from the projection seed's own stream when it
+    differs from the sample seed), one unit latent per concept, then image
+    and text noise per pair in pair order.
+    """
+    sigma = float(np.float32(sigma))
+    rng = np.random.default_rng(seed)
+    world = rng if projection_seed in (None, seed) else np.random.default_rng(projection_seed)
+    a_img = np.linalg.qr(world.standard_normal((d_in, k)))[0]
+    a_txt = np.linalg.qr(world.standard_normal((d_in, k)))[0]
+    latents = []
+    for _ in range(n_pairs // duplication):
+        z = rng.standard_normal(k)
+        latents.append(z / np.linalg.norm(z))
+    records = []
+    for p in range(n_pairs):
+        z = latents[p // duplication]
+        x_img = a_img @ z + sigma * rng.standard_normal(d_in)
+        x_txt = a_txt @ z + sigma * rng.standard_normal(d_in)
+        records.append((p // duplication, x_img.astype(np.float32), x_txt.astype(np.float32)))
+    return records
+
+
+def oracle_write_gcld(records, d_in: int, k: int, sigma: float, seed: int, path: str | Path) -> None:
+    """GCLD version 1 written field by field with struct (no sidecar)."""
+    record = struct.Struct(f"<I{d_in}f{d_in}f")
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<4sHIIIfQ", b"GCLD", 1, d_in, len(records), k, sigma, seed))
+        for concept_id, x_img, x_txt in records:
+            fh.write(record.pack(concept_id, *x_img.tolist(), *x_txt.tolist()))

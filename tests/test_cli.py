@@ -165,3 +165,13 @@ class TestWorkflow:
         )
         assert result.returncode == 0, result.stderr
         assert "train" in result.stdout
+
+
+class TestCorruptDatasetSidecar:
+    def test_undecodable_sidecar_exits_one_with_message(self, tiny_cfg, tmp_path, capsys):
+        assert run_cli("generate", "--config", str(tiny_cfg)) == 0
+        (tmp_path / "run" / "data" / "train.gcld.json").write_bytes(b"\x80{")
+        assert run_cli("train", "--config", str(tiny_cfg)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "train.gcld.json is not valid UTF-8 JSON" in err

@@ -12,8 +12,11 @@ from gcl_lab.synth import (
     generate_dataset,
     modality_projections,
     read_dataset,
+    record_dtype,
     write_dataset,
 )
+
+from oracles import oracle_gcld_records, oracle_write_gcld
 
 
 class TestGeneration:
@@ -260,3 +263,68 @@ class TestSharedWorld:
         (tmp_path / "data.gcld.json").unlink()
         _, loaded = read_dataset(path)
         assert loaded.projection_seed == 3
+
+
+ORACLE_CASES = {
+    "dup1": dict(n_pairs=12, k=3, d_in=8, sigma=0.1, seed=4),
+    "dup2": dict(n_pairs=12, k=3, d_in=8, sigma=0.1, seed=4, duplication=2),
+    "dup3": dict(n_pairs=12, k=3, d_in=8, sigma=0.1, seed=4, duplication=3),
+    "sigma0": dict(n_pairs=10, k=2, d_in=6, sigma=0.0, seed=5, duplication=2),
+    "k1": dict(n_pairs=10, k=1, d_in=6, sigma=0.3, seed=6),
+    "k_eq_d_in": dict(n_pairs=10, k=6, d_in=6, sigma=0.3, seed=7),
+    "shared_world": dict(n_pairs=10, k=3, d_in=9, sigma=0.2, seed=100, projection_seed=42),
+    "reference_scale": dict(n_pairs=5000, k=8, d_in=32, sigma=0.1, seed=0),
+}
+
+
+class TestRecordByRecordOracle:
+    """The record array must keep the bytes of the per-pair generator and writer."""
+
+    @pytest.mark.parametrize("case", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+    def test_files_match_the_oracle_writer(self, case, tmp_path):
+        pairs, manifest = generate_dataset(**case)
+        write_dataset(pairs, manifest, tmp_path / "array.gcld")
+        records = oracle_gcld_records(**case)
+        path = tmp_path / "oracle.gcld"
+        oracle_write_gcld(records, case["d_in"], case["k"], case["sigma"], case["seed"], path)
+        assert (tmp_path / "array.gcld").read_bytes() == path.read_bytes()
+
+    def test_reads_a_file_of_the_oracle_writer(self, tmp_path):
+        case = ORACLE_CASES["dup3"]
+        records = oracle_gcld_records(**case)
+        path = tmp_path / "oracle.gcld"
+        oracle_write_gcld(records, case["d_in"], case["k"], case["sigma"], case["seed"], path)
+        pairs, manifest = read_dataset(path)
+        assert manifest == DatasetManifest(
+            n_pairs=12, d_in=8, k=3, sigma=float(np.float32(0.1)), seed=4, projection_seed=4
+        )
+        assert pairs.dtype == record_dtype(8)
+        assert [int(p.concept_id) for p in pairs] == [r[0] for r in records]
+        assert np.array_equal(pairs.x_img, np.stack([r[1] for r in records]))
+        assert np.array_equal(pairs.x_txt, np.stack([r[2] for r in records]))
+
+
+class TestLoudFailures:
+    @pytest.mark.parametrize(
+        "sidecar",
+        [b"{not json", b"\xff\xfe\x00garbage", b"[1, 2, 3]"],
+        ids=["invalid_json", "invalid_utf8", "not_an_object"],
+    )
+    def test_bad_sidecar_is_a_format_error(self, sidecar, tmp_path):
+        pairs, manifest = generate_dataset(n_pairs=4, k=2, d_in=6, sigma=0.1, seed=4)
+        path = tmp_path / "data.gcld"
+        write_dataset(pairs, manifest, path)
+        (tmp_path / "data.gcld.json").write_bytes(sidecar)
+        with pytest.raises(FormatError, match="sidecar"):
+            read_dataset(path)
+
+    def test_write_rejects_foreign_dtype(self, tmp_path):
+        pairs, manifest = generate_dataset(n_pairs=4, k=2, d_in=6, sigma=0.1, seed=4)
+        wrong_width, _ = generate_dataset(n_pairs=4, k=2, d_in=5, sigma=0.1, seed=4)
+        float64_features = np.zeros(
+            4, dtype=[("concept_id", "<u4"), ("x_img", "<f8", (6,)), ("x_txt", "<f8", (6,))]
+        )
+        for bad in (wrong_width, float64_features, pairs[:3], list(pairs)):
+            with pytest.raises(ConfigError):
+                write_dataset(bad, manifest, tmp_path / "data.gcld")
+        assert not (tmp_path / "data.gcld").exists()

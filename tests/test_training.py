@@ -441,6 +441,40 @@ class TestTrainLoop:
         assert "img.W" in dump["param_norms"]
 
 
+class TestMixedObjectiveTemperature:
+    def test_log_tau_gradient_matches_finite_difference_of_step_loss(self, monkeypatch):
+        # One step of gcl_plus_triplet with learnable tau: the log_tau
+        # gradient handed to AdamW must be d(logged loss)/d(log tau), so it
+        # includes the weighted mixed term, not only the main loss.
+        pairs = small_dataset(n_pairs=16)
+        second = small_dataset(seed=99, n_pairs=16)
+
+        def config_at(log_tau):
+            return small_config(
+                variant="gcl_plus_triplet",
+                triplet_weight=0.5,
+                learnable_tau=True,
+                epochs=1,
+                loss=LossConfig(tau=math.exp(log_tau)),
+            )
+
+        passed = []
+
+        def recording_adamw_step(params, grads, state, lr):
+            passed.append(float(grads["log_tau"]))
+            return adamw_step(params, grads, state, lr)
+
+        log_tau, h = math.log(0.07), 1e-5
+        monkeypatch.setattr(training, "adamw_step", recording_adamw_step)
+        train(config_at(log_tau), pairs, second_pairs=second)
+        monkeypatch.undo()
+        loss_plus = train(config_at(log_tau + h), pairs, second_pairs=second)[1][0]["loss"]
+        loss_minus = train(config_at(log_tau - h), pairs, second_pairs=second)[1][0]["loss"]
+        numeric = (loss_plus - loss_minus) / (2 * h)
+        assert len(passed) == 1
+        assert passed[0] == pytest.approx(numeric, rel=1e-6)
+
+
 class TestVariantParsing:
     def test_known_variants(self):
         assert parse_variant("gcl") == ("gcl", None)
