@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -95,9 +94,6 @@ class GapReport:
             "min_cross_modality_cosine": self.min_cross_modality_cosine(),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
 
 def modality_gap_table(
     samples: Mapping[Modality, np.ndarray] | Iterable[tuple[np.ndarray, Modality]],
@@ -148,9 +144,6 @@ class PcaProjection:
             "modalities": [m.value for m in self.modalities],
             "explained_variance_ratio": self.explained_variance_ratio.tolist(),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
     def to_csv(self) -> str:
         """One row per sample: x, y, modality."""

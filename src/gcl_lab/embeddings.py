@@ -1,25 +1,19 @@
 """Vector primitives shared by every other module.
 
 All arithmetic here is double precision; dataset files store float32 and are
-widened on load. Embeddings are plain numpy vectors tagged with the modality
-they came from, so downstream code can keep image, text, and fused vectors
-from getting mixed up silently.
+widened on load. Embeddings are N×d numpy matrices tagged with the modality
+they came from, so downstream code can keep image, text, and fused rows from
+getting mixed up silently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptyListError,
-    InvalidTemperatureError,
-    ShapeMismatchError,
-    ZeroVectorError,
-)
+from .errors import ShapeMismatchError, ZeroVectorError
 
 # Norms below this are treated as exactly zero; below double-precision signal.
 ZERO_NORM_THRESHOLD = 1e-12
@@ -53,24 +47,6 @@ def modality_from_code(code: str) -> Modality:
 
 
 @dataclass(frozen=True)
-class Embedding:
-    """A single d-dimensional vector tagged with its modality."""
-
-    values: np.ndarray
-    modality: Modality
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 1 or values.shape[0] == 0:
-            raise ShapeMismatchError(f"embedding must be a nonempty 1-D vector, got shape {values.shape}")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
 class EmbeddingMatrix:
     """N embeddings of one modality stacked into an N×d matrix."""
 
@@ -86,13 +62,6 @@ class EmbeddingMatrix:
     @property
     def n(self) -> int:
         return self.rows.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.rows.shape[1]
-
-    def row(self, j: int) -> Embedding:
-        return Embedding(self.rows[j], self.modality)
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:
@@ -131,40 +100,13 @@ def normalize_rows_backward(grad_unit: np.ndarray, unit: np.ndarray, norms: np.n
     return (grad_unit - unit * inner) / norms[:, None]
 
 
-def l2_normalize_rows(rows: np.ndarray) -> np.ndarray:
-    """Row-wise l2_normalize for an N×d matrix."""
-    return normalize_rows(rows)[0]
+def fuse_sum_rows(image_rows: np.ndarray, text_rows: np.ndarray, renormalize: bool = True) -> np.ndarray:
+    """Fuse matched N×d image/text rows by vector sum: e_it = e_i + e_t.
 
-
-def similarity_matrix(a: EmbeddingMatrix, b: EmbeddingMatrix, tau: float) -> np.ndarray:
-    """Pre-exponential logits: entry (j, k) is dot(a_j, b_k) / tau.
-
-    Both matrices must share N and d; tau must be strictly positive.
-    """
-    if tau <= 0:
-        raise InvalidTemperatureError(f"tau must be > 0, got {tau}")
-    if a.rows.shape != b.rows.shape:
-        raise ShapeMismatchError(f"similarity_matrix needs equal shapes, got {a.rows.shape} vs {b.rows.shape}")
-    return (a.rows @ b.rows.T) / tau
-
-
-def fuse_sum(e_i: Embedding, e_t: Embedding, renormalize: bool = True) -> Embedding:
-    """Fuse an image/text pair by vector sum: e_it = e_i + e_t.
-
-    With renormalize (the default) the sum is rescaled to unit norm, which
+    With renormalize (the default) each sum is rescaled to unit norm, which
     keeps cosine diagnostics on one scale; the raw sum preserves score-fusion
     equivalence (dot with a sum equals sum of dots).
     """
-    if e_i.dim != e_t.dim:
-        raise ShapeMismatchError(f"fuse_sum dims disagree: {e_i.dim} vs {e_t.dim}")
-    summed = e_i.values + e_t.values
-    if renormalize:
-        summed = l2_normalize(summed)
-    return Embedding(summed, Modality.FUSED)
-
-
-def fuse_sum_rows(image_rows: np.ndarray, text_rows: np.ndarray, renormalize: bool = True) -> np.ndarray:
-    """Row-wise fuse_sum for matched N×d matrices."""
     if image_rows.shape != text_rows.shape:
         raise ShapeMismatchError(
             f"fuse_sum_rows needs equal shapes, got {image_rows.shape} vs {text_rows.shape}"
@@ -173,28 +115,3 @@ def fuse_sum_rows(image_rows: np.ndarray, text_rows: np.ndarray, renormalize: bo
     if renormalize:
         summed = normalize_rows(summed)[0]
     return summed
-
-
-def average_embeddings(es: Sequence[Embedding] | Iterable[Embedding], renormalize: bool = True) -> Embedding:
-    """Arithmetic mean of embeddings sharing one modality and dimension."""
-    es = list(es)
-    if not es:
-        raise EmptyListError("average_embeddings needs at least one embedding")
-    modality = es[0].modality
-    dim = es[0].dim
-    for e in es[1:]:
-        if e.modality is not modality:
-            raise ShapeMismatchError(f"mixed modalities in average: {modality} vs {e.modality}")
-        if e.dim != dim:
-            raise ShapeMismatchError(f"mixed dims in average: {dim} vs {e.dim}")
-    mean = np.mean([e.values for e in es], axis=0)
-    if renormalize:
-        mean = l2_normalize(mean)
-    return Embedding(mean, modality)
-
-
-def cosine(a: Embedding, b: Embedding) -> float:
-    """Dot product of two unit-norm embeddings, clamped to [-1, 1]."""
-    if a.dim != b.dim:
-        raise ShapeMismatchError(f"cosine dims disagree: {a.dim} vs {b.dim}")
-    return float(np.clip(np.dot(a.values, b.values), -1.0, 1.0))

@@ -44,10 +44,6 @@ class KOutOfRangeError(ConfigError):
     """Retrieval cutoff k is not in [1, pool size]."""
 
 
-class EmptyListError(ConfigError):
-    """An aggregate operation received no inputs."""
-
-
 class ZeroVectorError(GclError):
     """A vector with norm below the zero threshold cannot be normalized."""
 

@@ -5,13 +5,19 @@ is exhaustive over the pool with ties broken by ascending candidate id, so
 results are reproducible regardless of insertion order or platform. Two pool
 settings exist: a Local pool holds one (modality, task) bank, a Global pool
 mixes candidate banks freely.
+
+Every metric runs on one scoring path: a query set's rows are stacked and
+scored against the pool matrix in blocks of _BLOCK queries, one gemm per
+block, as in blocked exact flat search (Johnson et al., arXiv 1702.08734).
+A ground-truth rank is counted from the scores, not sorted for; only the
+head of each row that cosine_by_rank reports is sorted. Reported cosines
+are per-pair dot products, bit-identical to ``candidate @ query``.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -26,6 +32,9 @@ from .errors import (
     KOutOfRangeError,
     ShapeMismatchError,
 )
+
+# Queries scored per gemm; bounds the score block at _BLOCK x pool size.
+_BLOCK = 64
 
 
 class PoolSetting(Enum):
@@ -58,12 +67,10 @@ class RetrievalPool:
         candidates = list(candidates)
         if not candidates:
             raise EmptyPoolError("pool needs at least one candidate")
-        ids = [c.id for c in candidates]
-        seen: set[int] = set()
-        for cid in ids:
-            if cid in seen:
-                raise DuplicateIdError(f"candidate id {cid} appears more than once")
-            seen.add(cid)
+        ids = np.array([c.id for c in candidates], dtype=np.int64)
+        unique, counts = np.unique(ids, return_counts=True)
+        if counts.max() > 1:
+            raise DuplicateIdError(f"candidate id {unique[counts > 1][0]} appears more than once")
         dims = {c.embedding.shape for c in candidates}
         if len(dims) != 1 or candidates[0].embedding.ndim != 1:
             raise ShapeMismatchError(f"candidate embeddings must share one 1-D shape, got {sorted(dims)}")
@@ -75,16 +82,12 @@ class RetrievalPool:
                 )
         self.candidates = candidates
         self.setting = setting
-        self.ids = np.array(ids, dtype=np.int64)
+        self.ids = ids
         self.matrix = np.stack([np.asarray(c.embedding, dtype=np.float64) for c in candidates])
 
     @property
     def size(self) -> int:
         return len(self.candidates)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
 
 
 @dataclass(frozen=True)
@@ -103,39 +106,65 @@ class QuerySet:
                 raise ConfigError(f"query {q.id} has no ground-truth candidates")
 
 
-def _check_ground_truth_in_pool(queries: QuerySet, pool: RetrievalPool) -> None:
-    pool_ids = set(pool.ids.tolist())
-    for q in queries.queries:
-        missing = queries.ground_truth[q.id] - pool_ids
-        if missing:
-            raise ConfigError(f"ground-truth ids {sorted(missing)} for query {q.id} not in pool")
+def _query_rows(queries: QuerySet) -> np.ndarray:
+    return np.stack([np.asarray(q.embedding, dtype=np.float64) for q in queries.queries])
 
 
-def _full_ranking(query_embedding: np.ndarray, pool: RetrievalPool) -> np.ndarray:
-    """All candidate ids in rank order (best first, ties by ascending id)."""
-    scores = pool.matrix @ np.asarray(query_embedding, dtype=np.float64)
-    order = np.lexsort((pool.ids, -scores))
-    return pool.ids[order]
+def _ground_truth_columns(queries: QuerySet, pool: RetrievalPool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The queries' ground truth flattened in query order: each entry's query
+    row and pool column, and where each query's entries start (then the end).
+    """
+    truth = [sorted(queries.ground_truth[q.id]) for q in queries.queries]
+    gt_ids = np.array([g for t in truth for g in t], dtype=np.int64)
+    gt_rows = np.repeat(np.arange(len(truth)), [len(t) for t in truth])
+    by_id = np.argsort(pool.ids)  # the id -> column map
+    columns = by_id[np.searchsorted(pool.ids, gt_ids, sorter=by_id).clip(max=pool.size - 1)]
+    missing = pool.ids[columns] != gt_ids
+    if missing.any():
+        row = gt_rows[missing][0]
+        absent = gt_ids[missing & (gt_rows == row)].tolist()
+        raise ConfigError(f"ground-truth ids {absent} for query {queries.queries[row].id} not in pool")
+    return gt_rows, columns, np.searchsorted(gt_rows, np.arange(len(truth) + 1))
 
 
-def top_k(query_embedding: np.ndarray, pool: RetrievalPool, k: int) -> list[int]:
-    """The k best candidate ids for one query."""
-    if not (1 <= k <= pool.size):
-        raise KOutOfRangeError(f"K={k} outside [1, {pool.size}]")
-    return _full_ranking(query_embedding, pool)[:k].tolist()
+def _score_blocks(rows: np.ndarray, pool: RetrievalPool):
+    """(first row, scores) for each block of _BLOCK query rows, one gemm per block."""
+    for start in range(0, len(rows), _BLOCK):
+        yield start, rows[start : start + _BLOCK] @ pool.matrix.T
+
+
+def _pair_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a · b over the last axis, one BLAS dot per pair as a per-pair `@` computes it."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _ranks(queries: QuerySet, pool: RetrievalPool) -> np.ndarray:
+    """Best (minimum, 1-based) ground-truth rank per query.
+
+    Candidate g ranks at 1 + #(s > s_g) + #(s == s_g and id < id_g): a count
+    over the query's scores, which equals g's place in the sorted order.
+    """
+    gt_rows, columns, starts = _ground_truth_columns(queries, pool)
+    ranks = np.empty(len(queries.queries), dtype=np.int64)
+    for start, scores in _score_blocks(_query_rows(queries), pool):
+        stop = start + len(scores)
+        entries = slice(starts[start], starts[stop])
+        cols = columns[entries]
+        s = scores[gt_rows[entries] - start]
+        s_gt = s[np.arange(len(cols)), cols][:, None]
+        before = np.count_nonzero(s > s_gt, axis=1) + np.count_nonzero(
+            (s == s_gt) & (pool.ids < pool.ids[cols][:, None]), axis=1
+        )
+        ranks[start:stop] = np.minimum.reduceat(1 + before, starts[start:stop] - starts[start])
+    return ranks
 
 
 def recall_at_k(queries: QuerySet, pool: RetrievalPool, k: int) -> float:
     """Fraction of queries whose top-K hits their ground-truth set."""
     if not (1 <= k <= pool.size):
         raise KOutOfRangeError(f"K={k} outside [1, {pool.size}]")
-    _check_ground_truth_in_pool(queries, pool)
-    hits = 0
-    for q in queries.queries:
-        gt = queries.ground_truth[q.id]
-        if gt.intersection(top_k(q.embedding, pool, k)):
-            hits += 1
-    return hits / len(queries.queries)
+    ranks = _ranks(queries, pool)
+    return np.count_nonzero(ranks <= k) / len(ranks)
 
 
 def _bucket_edges(pool_size: int) -> list[int]:
@@ -155,12 +184,7 @@ def rank_of_ground_truth(
     Buckets default to powers of two up to the pool size; each bucket spans
     [edge, next_edge) clipped to the pool size.
     """
-    _check_ground_truth_in_pool(queries, pool)
-    ranks = []
-    for q in queries.queries:
-        ranking = _full_ranking(q.embedding, pool)
-        position = {cid: r + 1 for r, cid in enumerate(ranking.tolist())}
-        ranks.append(min(position[g] for g in queries.ground_truth[q.id]))
+    ranks = _ranks(queries, pool)
     edges = bucket_edges if bucket_edges is not None else _bucket_edges(pool.size)
     if not edges or any(e < 1 for e in edges) or sorted(edges) != list(edges):
         raise ConfigError(f"bucket edges must be ascending and >= 1, got {edges}")
@@ -169,8 +193,8 @@ def rank_of_ground_truth(
         hi = (edges[i + 1] - 1) if i + 1 < len(edges) else pool.size
         hi = min(hi, pool.size)
         label = str(lo) if lo == hi else f"{lo}-{hi}"
-        histogram[label] = sum(1 for r in ranks if lo <= r <= hi)
-    return ranks, histogram
+        histogram[label] = int(np.count_nonzero((ranks >= lo) & (ranks <= hi)))
+    return ranks.tolist(), histogram
 
 
 def build_global_pool(sources: Iterable[Iterable[Candidate]]) -> RetrievalPool:
@@ -188,30 +212,35 @@ def build_local_pool(candidates: Iterable[Candidate]) -> RetrievalPool:
 
 def cosine_to_ground_truth(queries: QuerySet, pool: RetrievalPool) -> list[float]:
     """cosine(query, best-ranked ground-truth candidate) per query."""
-    _check_ground_truth_in_pool(queries, pool)
-    by_id = {c.id: np.asarray(c.embedding, dtype=np.float64) for c in pool.candidates}
-    out = []
-    for q in queries.queries:
-        emb = np.asarray(q.embedding, dtype=np.float64)
-        best = max(
-            queries.ground_truth[q.id],
-            key=lambda cid: (float(by_id[cid] @ emb), -cid),
-        )
-        out.append(float(np.clip(by_id[best] @ emb, -1.0, 1.0)))
-    return out
+    gt_rows, columns, starts = _ground_truth_columns(queries, pool)
+    cosines = _pair_dots(pool.matrix[columns], _query_rows(queries)[gt_rows])
+    return np.clip(np.maximum.reduceat(cosines, starts[:-1]), -1.0, 1.0).tolist()
+
+
+def _heads(scores: np.ndarray, ids: np.ndarray, max_rank: int) -> np.ndarray:
+    """Pool columns of each row's max_rank best scores, best first, ties by ascending id."""
+    heads = np.argpartition(-scores, max_rank - 1, axis=1)[:, :max_rank]
+    head_scores = np.take_along_axis(scores, heads, axis=1)
+    heads = np.take_along_axis(heads, np.lexsort((ids[heads], -head_scores), axis=1), axis=1)
+    # argpartition picks among scores equal to the cut without regard to id
+    cut = head_scores.min(axis=1, keepdims=True)
+    for i in np.flatnonzero(np.count_nonzero(scores >= cut, axis=1) > max_rank):
+        heads[i] = np.lexsort((ids, -scores[i]))[:max_rank]
+    return heads
 
 
 def cosine_by_rank(queries: QuerySet, pool: RetrievalPool, max_rank: int) -> np.ndarray:
     """Mean over queries of cosine(query, r-th ranked candidate), r = 1..max_rank."""
     if not (1 <= max_rank <= pool.size):
         raise KOutOfRangeError(f"max_rank={max_rank} outside [1, {pool.size}]")
-    by_id = {c.id: np.asarray(c.embedding, dtype=np.float64) for c in pool.candidates}
+    rows = _query_rows(queries)
     acc = np.zeros(max_rank)
-    for q in queries.queries:
-        emb = np.asarray(q.embedding, dtype=np.float64)
-        ranking = _full_ranking(emb, pool)[:max_rank]
-        acc += np.clip([by_id[cid] @ emb for cid in ranking.tolist()], -1.0, 1.0)
-    return acc / len(queries.queries)
+    for start, scores in _score_blocks(rows, pool):
+        heads = _heads(scores, pool.ids, max_rank)
+        block = rows[start : start + len(scores), None, :]
+        for curve in np.clip(_pair_dots(pool.matrix[heads], block), -1.0, 1.0):
+            acc += curve  # one query at a time, so the sum's rounding follows query order
+    return acc / len(rows)
 
 
 @dataclass
@@ -250,9 +279,6 @@ class RetrievalReport:
             d["dropped_beyond_cap"] = self.dropped_beyond_cap
         return d
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
     def to_csv(self) -> str:
         """One row per query: id, best GT rank, GT cosine, hit@K flags."""
         buffer = io.StringIO()
@@ -275,7 +301,7 @@ def build_report(
         if not (1 <= k <= pool.size):
             raise KOutOfRangeError(f"K={k} outside [1, {pool.size}]")
     ranks, histogram = rank_of_ground_truth(queries, pool)
-    recall = {k: float(np.mean([r <= k for r in ranks])) for k in k_values}
+    recall = {k: np.count_nonzero(np.array(ranks) <= k) / len(ranks) for k in k_values}
     report = RetrievalReport(
         setting=pool.setting.value,
         k_values=list(k_values),

@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import GapReport, PcaProjection, modality_gap_table, pca_2d
-from .embeddings import MODALITIES, Modality
+from .embeddings import MODALITIES, Modality, modality_from_code
 from .errors import ConfigError, FormatError, InvalidDimsError, NonFiniteGradientError
 from .evaluation import (
     Candidate,
@@ -115,8 +115,7 @@ TASKS = tuple(
 
 def _task_modalities(task: str) -> tuple[Modality, Modality]:
     query_part, cand_part = task.split("->")
-    by_code = {m.code: m for m in MODALITIES}
-    return by_code[query_part[2:]], by_code[cand_part[2:]]
+    return modality_from_code(query_part[2:]), modality_from_code(cand_part[2:])
 
 
 def materialize_config(raw: dict) -> dict:
@@ -305,10 +304,25 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _read_json(path: Path, what: str) -> dict:
+    """A JSON-object artifact; raises FormatError when it is not one."""
+    try:
+        text = path.read_bytes().decode("utf-8")
+        payload = json.loads(text)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{what} {path} is not UTF-8: {exc.reason}", offset=exc.start) from exc
+    except json.JSONDecodeError as exc:
+        offset = len(text[: exc.pos].encode("utf-8"))
+        raise FormatError(f"{what} {path} is not valid JSON: {exc.msg}", offset=offset) from exc
+    if not isinstance(payload, dict):
+        raise FormatError(f"{what} {path} must be a JSON object, got {type(payload).__name__}")
+    return payload
+
+
 def _record_timing(paths: ExperimentPaths, command: str, seconds: float, extra: dict | None = None) -> None:
     timings = {}
     if paths.timings.exists():
-        timings = json.loads(paths.timings.read_text())
+        timings = _read_json(paths.timings, "timings")
     entry: dict = {"seconds": seconds}
     if extra:
         entry.update(extra)
@@ -408,7 +422,7 @@ def cmd_train(
 
     existing_records = []
     if resume and paths.train_log.exists():
-        existing_records = json.loads(paths.train_log.read_text())["records"]
+        existing_records = _read_json(paths.train_log, "training log")["records"]
     records = existing_records + log
     _write_json(
         paths.train_log,
@@ -446,13 +460,8 @@ def _encode_eval_views(cfg: ExperimentConfig, paths: ExperimentPaths):
     batch = model.encode_batch(x_img, x_txt)
     view0 = np.arange(0, len(pairs), 2)  # candidates
     view1 = np.arange(1, len(pairs), 2)  # queries
-    rows = {
-        Modality.IMAGE: batch.images.rows,
-        Modality.TEXT: batch.texts.rows,
-        Modality.FUSED: batch.fused.rows,
-    }
-    candidate_rows = {m: rows[m][view0] for m in MODALITIES}
-    query_rows = {m: rows[m][view1] for m in MODALITIES}
+    candidate_rows = {m: rows[view0] for m, rows in batch.rows.items()}
+    query_rows = {m: rows[view1] for m, rows in batch.rows.items()}
     return candidate_rows, query_rows
 
 
@@ -594,7 +603,7 @@ def cmd_verify(cfg: ExperimentConfig, paths: ExperimentPaths | None = None) -> d
     paths = paths or ExperimentPaths.for_run(cfg.output_dir)
     if not paths.report.exists():
         raise ConfigError(f"report {paths.report} does not exist; run the eval command first")
-    stored = json.loads(paths.report.read_text())
+    stored = _read_json(paths.report, "report")
     recomputed = json.loads(json.dumps(compute_run_report(cfg, paths).to_json_dict()))
     if stored == recomputed:
         return {"ok": True, "config_hash": recomputed["config_hash"]}
@@ -714,4 +723,4 @@ def cmd_report(cfg: ExperimentConfig, paths: ExperimentPaths | None = None) -> s
     paths = paths or ExperimentPaths.for_run(cfg.output_dir)
     if not paths.report.exists():
         raise ConfigError(f"report {paths.report} does not exist; run the eval command first")
-    return format_report_summary(json.loads(paths.report.read_text()))
+    return format_report_summary(_read_json(paths.report, "report"))

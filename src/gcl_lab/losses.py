@@ -178,8 +178,9 @@ class TripletBatch:
         return self.images.n
 
     @property
-    def dim(self) -> int:
-        return self.images.dim
+    def rows(self) -> dict[Modality, np.ndarray]:
+        """The three N×d matrices keyed by modality."""
+        return {Modality.IMAGE: self.images.rows, Modality.TEXT: self.texts.rows, Modality.FUSED: self.fused.rows}
 
 
 @dataclass(frozen=True)
@@ -189,9 +190,6 @@ class LossGrads:
     images: np.ndarray
     texts: np.ndarray
     fused: np.ndarray
-
-    def by_modality(self, modality: Modality) -> np.ndarray:
-        return {Modality.IMAGE: self.images, Modality.TEXT: self.texts, Modality.FUSED: self.fused}[modality]
 
 
 @dataclass(frozen=True)
@@ -323,10 +321,6 @@ def _two_direction_terms(q: Modality, c: Modality) -> list[Term]:
     ]
 
 
-def _triplet_rows(batch: TripletBatch) -> dict[Modality, np.ndarray]:
-    return {_I: batch.images.rows, _T: batch.texts.rows, _IT: batch.fused.rows}
-
-
 def gcl_loss(batch: TripletBatch, cfg: LossConfig | None = None) -> LossOutput:
     """Generalized contrastive loss over the configured query/candidate pairs.
 
@@ -341,7 +335,7 @@ def gcl_loss(batch: TripletBatch, cfg: LossConfig | None = None) -> LossOutput:
     cfg = cfg if cfg is not None else LossConfig()
     negatives = "pooled_offdiag" if cfg.denominator_mode is DenominatorMode.ALGORITHM_MASKED else "row"
     terms = [(pair_name((a, b)), a, b, MODALITIES, negatives) for a, b in cfg.pair_set]
-    return _contrastive(_triplet_rows(batch), terms, cfg.tau, cfg.resolve_normalization(batch.n))
+    return _contrastive(batch.rows, terms, cfg.tau, cfg.resolve_normalization(batch.n))
 
 
 def _check_cl_inputs(loss: str, images: EmbeddingMatrix, texts: EmbeddingMatrix, cfg: LossConfig) -> None:
@@ -379,7 +373,7 @@ def two_direction_loss(batch: TripletBatch, query: Modality, candidate: Modality
     for fused->image and text->fused retrieval.
     """
     terms = _two_direction_terms(query, candidate)
-    return _contrastive(_triplet_rows(batch), terms, tau, float(2 * batch.n))
+    return _contrastive(batch.rows, terms, tau, float(2 * batch.n))
 
 
 def gcl_loss_ablation(

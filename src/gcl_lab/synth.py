@@ -67,10 +67,6 @@ class DatasetManifest:
     duplication: int = 1
     projection_seed: int | None = None
 
-    @property
-    def effective_projection_seed(self) -> int:
-        return self.seed if self.projection_seed is None else self.projection_seed
-
 
 def modality_projections(k: int, d_in: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The fixed per-seed orthonormal-column projections (A_img, A_txt).
@@ -196,13 +192,21 @@ def write_dataset(pairs: np.ndarray, manifest: DatasetManifest, path: str | Path
     _sidecar_path(path).write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
 
 
+def _float32(value: float) -> float:
+    """value rounded to float32, as the header stores sigma (overflow gives inf)."""
+    with np.errstate(over="ignore"):
+        return float(np.float32(value))
+
+
 def read_dataset(path: str | Path) -> tuple[np.recarray, DatasetManifest]:
     """Read a GCLD file back; exact inverse of write_dataset.
 
     Raises FormatError (with the byte offset of the problem) on bad magic,
     unsupported version, inconsistent header dimensions, truncation, or
-    trailing bytes. The sidecar, when present, supplies split/duplication;
-    it must be a UTF-8 JSON object that agrees with the binary header. The
+    trailing bytes. The sidecar, when present, supplies split, duplication
+    and projection_seed; it must be a UTF-8 JSON object that agrees with the
+    binary header (sigma up to float32 rounding) and holds a known split, an
+    int duplication >= 1 and an int or null projection_seed. The
     returned records are a read-only view of the file's bytes.
     """
     path = Path(path)
@@ -219,7 +223,10 @@ def read_dataset(path: str | Path) -> tuple[np.recarray, DatasetManifest]:
     if k < 1 or k > d_in:
         raise FormatError(f"header k={k} inconsistent with d_in={d_in}", offset=14)
 
-    dtype = record_dtype(d_in)
+    try:
+        dtype = record_dtype(d_in)
+    except ValueError as exc:  # d_in too large for a NumPy record
+        raise FormatError(f"header d_in={d_in} is not a readable record width: {exc}", offset=6) from exc
     expected = _HEADER.size + n_pairs * dtype.itemsize
     if len(blob) != expected:
         raise FormatError(
@@ -242,11 +249,20 @@ def read_dataset(path: str | Path) -> tuple[np.recarray, DatasetManifest]:
                 raise FormatError(
                     f"sidecar {field_name}={sidecar.get(field_name)} disagrees with header {header_value}"
                 )
+        sidecar_sigma = sidecar.get("sigma")
+        if type(sidecar_sigma) not in (int, float) or _float32(sidecar_sigma) != sigma:
+            raise FormatError(f"sidecar sigma={sidecar_sigma!r} disagrees with header {sigma}")
         split = sidecar.get("split", "train")
+        if split not in SPLITS:
+            raise FormatError(f"sidecar split must be one of {SPLITS}, got {split!r}")
         duplication = sidecar.get("duplication", 1)
-        projection_seed = sidecar.get("projection_seed", seed)
+        if type(duplication) is not int or duplication < 1:
+            raise FormatError(f"sidecar duplication must be an int >= 1, got {duplication!r}")
+        projection_seed = sidecar.get("projection_seed")
         if projection_seed is None:
             projection_seed = seed
+        elif type(projection_seed) is not int:
+            raise FormatError(f"sidecar projection_seed must be an int or null, got {projection_seed!r}")
     manifest = DatasetManifest(
         n_pairs=n_pairs,
         d_in=d_in,

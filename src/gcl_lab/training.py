@@ -229,10 +229,6 @@ class TrainedModel:
             renormalize_fusion=self.config.renormalize_fusion,
         )
 
-    @property
-    def param_count(self) -> int:
-        return self.image_encoder.param_count + self.text_encoder.param_count
-
 
 def _loss_for_variant(kind, drop, batch, loss_cfg):
     if kind == "cl":
@@ -531,7 +527,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         offset += 2
         if offset + name_len + 1 > len(blob):
             raise FormatError("truncated array name", offset=offset)
-        name = blob[offset : offset + name_len].decode()
+        try:
+            name = blob[offset : offset + name_len].decode()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"array name is not UTF-8: {exc.reason}", offset=offset + exc.start) from exc
         offset += name_len
         (ndim,) = struct.unpack_from("<B", blob, offset)
         offset += 1

@@ -23,18 +23,6 @@ def unit_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
-def oracle_similarity(a: np.ndarray, b: np.ndarray, tau: float) -> np.ndarray:
-    n, d = a.shape
-    out = np.zeros((n, n))
-    for j in range(n):
-        for k in range(n):
-            acc = 0.0
-            for c in range(d):
-                acc += a[j, c] * b[k, c]
-            out[j, k] = acc / tau
-    return out
-
-
 def oracle_cl(images: np.ndarray, texts: np.ndarray, tau: float) -> tuple[float, dict[str, float]]:
     """Two-direction contrastive loss with row-wise cross-modal denominators."""
     n = images.shape[0]

@@ -175,3 +175,16 @@ class TestCorruptDatasetSidecar:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "train.gcld.json is not valid UTF-8 JSON" in err
+
+
+class TestCorruptReport:
+    def test_truncated_report_exits_one_with_message(self, tiny_cfg, tmp_path, capsys):
+        for command in ("generate", "train", "eval"):
+            assert run_cli(command, "--config", str(tiny_cfg)) == 0
+        report = tmp_path / "run" / "report.json"
+        report.write_bytes(report.read_bytes()[:-50])
+        capsys.readouterr()
+        assert run_cli("verify", "--config", str(tiny_cfg)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "report.json is not valid JSON" in err

@@ -232,7 +232,7 @@ class TestPca:
 
         rng = np.random.default_rng(10)
         proj = pca_2d(tagged(rng.standard_normal((10, 3))))
-        parsed = json.loads(proj.to_json())
+        parsed = json.loads(json.dumps(proj.to_json_dict()))
         assert parsed["modalities"] == ["image"] * 10
         np.testing.assert_allclose(parsed["components"], proj.components)
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gcl_lab import evaluation
 from gcl_lab.embeddings import Modality
 from gcl_lab.errors import (
     ConfigError,
@@ -24,7 +25,6 @@ from gcl_lab.evaluation import (
     cosine_to_ground_truth,
     rank_of_ground_truth,
     recall_at_k,
-    top_k,
 )
 
 from oracles import unit_rows
@@ -107,7 +107,28 @@ class TestPoolConstruction:
             QuerySet(queries=[q], ground_truth={0: set()})
 
 
+def every_candidate_as_ground_truth(query, pool):
+    """One copy of the query per candidate, each with that candidate as its only
+    ground truth, so the ranks are the candidates' places in the full ranking."""
+    ids = pool.ids.tolist()
+    queries = [Query(id=i, embedding=query, modality=Modality.TEXT) for i in range(len(ids))]
+    return QuerySet(queries=queries, ground_truth={i: {cid} for i, cid in enumerate(ids)})
+
+
+def oracle_curve(queries, pool, max_rank):
+    """Per-query running sum of per-pair cosines down the oracle ranking."""
+    by_id = {c.id: c.embedding for c in pool.candidates}
+    acc = np.zeros(max_rank)
+    for q in queries.queries:
+        head = oracle_ranking(q.embedding, pool.candidates)[:max_rank]
+        acc += np.clip([by_id[cid] @ q.embedding for cid in head], -1.0, 1.0)
+    return acc / len(queries.queries)
+
+
 class TestTopK:
+    """The top-K order (descending score, ties by ascending id) as the rank,
+    recall and curve metrics see it."""
+
     def test_matches_oracle_on_100_seeded_pools(self):
         for seed in range(100):
             rng = np.random.default_rng(seed)
@@ -116,7 +137,13 @@ class TestTopK:
             pool = RetrievalPool(make_candidates(rng, n, d), PoolSetting.GLOBAL)
             query = unit_rows(rng, 1, d)[0]
             k = int(rng.integers(1, n + 1))
-            assert top_k(query, pool, k) == oracle_ranking(query, pool.candidates)[:k]
+            order = oracle_ranking(query, pool.candidates)
+            queries = every_candidate_as_ground_truth(query, pool)
+            ranks, _ = rank_of_ground_truth(queries, pool)
+            assert ranks == [order.index(cid) + 1 for cid in pool.ids.tolist()]
+            assert recall_at_k(queries, pool, k) == k / n
+            single = QuerySet(queries=queries.queries[:1], ground_truth={0: {order[0]}})
+            assert np.array_equal(cosine_by_rank(single, pool, k), oracle_curve(single, pool, k))
 
     def test_ties_broken_by_ascending_id(self):
         emb = np.array([1.0, 0.0])
@@ -125,7 +152,8 @@ class TestTopK:
             for i in (7, 3, 5)
         ]
         pool = RetrievalPool(cands, PoolSetting.LOCAL)
-        assert top_k(np.array([1.0, 0.0]), pool, 3) == [3, 5, 7]
+        ranks, _ = rank_of_ground_truth(every_candidate_as_ground_truth(emb, pool), pool)
+        assert ranks == [3, 1, 2]
 
     def test_insertion_order_invariance(self):
         rng = np.random.default_rng(11)
@@ -133,16 +161,22 @@ class TestTopK:
         query = unit_rows(rng, 1, 6)[0]
         pool_fwd = RetrievalPool(cands, PoolSetting.GLOBAL)
         pool_rev = RetrievalPool(list(reversed(cands)), PoolSetting.GLOBAL)
-        assert top_k(query, pool_fwd, 20) == top_k(query, pool_rev, 20)
+        queries = every_candidate_as_ground_truth(query, pool_fwd)
+        assert rank_of_ground_truth(queries, pool_fwd) == rank_of_ground_truth(queries, pool_rev)
+        assert np.array_equal(cosine_by_rank(queries, pool_fwd, 20), cosine_by_rank(queries, pool_rev, 20))
 
     def test_k_out_of_range(self):
         rng = np.random.default_rng(4)
         pool = RetrievalPool(make_candidates(rng, 5, 3), PoolSetting.GLOBAL)
-        query = unit_rows(rng, 1, 3)[0]
+        queries = make_query_set(rng, pool, 2, 3)
         with pytest.raises(KOutOfRangeError):
-            top_k(query, pool, 0)
+            recall_at_k(queries, pool, 0)
         with pytest.raises(KOutOfRangeError):
-            top_k(query, pool, 6)
+            recall_at_k(queries, pool, 6)
+        with pytest.raises(KOutOfRangeError):
+            cosine_by_rank(queries, pool, 0)
+        with pytest.raises(KOutOfRangeError):
+            build_report(queries, pool, k_values=[1, 6])
 
 
 class TestRecall:
@@ -192,15 +226,29 @@ class TestRecall:
 
 class TestRankOfGroundTruth:
     def test_ranks_match_oracle(self):
-        for seed in range(30):
+        # The last case has 150 queries: two full score blocks and a partial one.
+        for seed, n_queries in [(s, 6) for s in range(30)] + [(30, 150)]:
             rng = np.random.default_rng(300 + seed)
             pool = RetrievalPool(make_candidates(rng, 25, 4), PoolSetting.GLOBAL)
-            queries = make_query_set(rng, pool, 6, 4, gt_per_query=3)
+            queries = make_query_set(rng, pool, n_queries, 4, gt_per_query=3)
             ranks, _ = rank_of_ground_truth(queries, pool)
             for q, rank in zip(queries.queries, ranks):
                 order = oracle_ranking(q.embedding, pool.candidates)
                 expected = min(order.index(g) + 1 for g in queries.ground_truth[q.id])
                 assert rank == expected
+
+    def test_tied_ground_truth_takes_the_lower_id(self):
+        cands = [
+            Candidate(id=cid, embedding=np.array(emb), modality=Modality.IMAGE, source_task="t")
+            for cid, emb in ((9, [0.6, 0.8]), (4, [0.6, 0.8]), (6, [1.0, 0.0]), (2, [0.0, 1.0]))
+        ]
+        pool = RetrievalPool(cands, PoolSetting.LOCAL)
+        q = Query(id=0, embedding=np.array([1.0, 0.0]), modality=Modality.TEXT)
+        queries = QuerySet(queries=[q], ground_truth={0: {9, 4}})
+        # Order: 6 (1.0), then 4 and 9 tied at 0.6 with 4 first, then 2.
+        ranks, _ = rank_of_ground_truth(queries, pool)
+        assert ranks == [2]
+        assert cosine_to_ground_truth(queries, pool) == [pytest.approx(0.6)]
 
     def test_histogram_buckets_are_powers_of_two(self):
         rng = np.random.default_rng(6)
@@ -258,17 +306,34 @@ class TestCosines:
             assert np.all(np.diff(curve) <= 1e-12)
 
     def test_cosine_by_rank_matches_oracle(self):
+        # 150 queries span two full score blocks and a partial one.
         rng = np.random.default_rng(8)
         pool = RetrievalPool(make_candidates(rng, 10, 3), PoolSetting.GLOBAL)
-        queries = make_query_set(rng, pool, 4, 3)
-        curve = cosine_by_rank(queries, pool, 5)
-        by_id = {c.id: c.embedding for c in pool.candidates}
-        expected = np.zeros(5)
-        for q in queries.queries:
-            order = oracle_ranking(q.embedding, pool.candidates)[:5]
-            expected += [float(by_id[cid] @ q.embedding) for cid in order]
-        expected /= len(queries.queries)
-        np.testing.assert_allclose(curve, expected, atol=1e-12)
+        for n_queries in (4, 150):
+            queries = make_query_set(rng, pool, n_queries, 3)
+            assert np.array_equal(cosine_by_rank(queries, pool, 5), oracle_curve(queries, pool, 5))
+
+    def test_cosine_by_rank_ties_straddling_cut(self):
+        # Six candidates tie at score 0.6 across the cut at rank 5, so the head
+        # must take the tied ids in ascending order, not in partition order.
+        rng = np.random.default_rng(15)
+        rows = [[1.0, 0.0]] * 3 + [[0.6, 0.8], [0.6, -0.8]] * 3 + [[0.0, 1.0]] * 4
+        ids = rng.permutation(100)[: len(rows)]
+        cands = [
+            Candidate(id=int(cid), embedding=np.array(row), modality=Modality.IMAGE, source_task="t")
+            for cid, row in zip(ids, rows)
+        ]
+        pool = RetrievalPool(cands, PoolSetting.LOCAL)
+        query = np.array([1.0, 0.0])
+        scores = pool.matrix @ query
+        heads = evaluation._heads(np.tile(scores, (3, 1)), pool.ids, 5)
+        assert pool.ids[heads].tolist() == [oracle_ranking(query, pool.candidates)[:5]] * 3
+        queries = QuerySet(
+            queries=[Query(id=i, embedding=query, modality=Modality.TEXT) for i in range(70)],
+            ground_truth={i: {int(ids[0])} for i in range(70)},
+        )
+        for max_rank in (4, 5, 9, 13):
+            assert np.array_equal(cosine_by_rank(queries, pool, max_rank), oracle_curve(queries, pool, max_rank))
 
     def test_cosine_by_rank_range_check(self):
         rng = np.random.default_rng(9)
@@ -290,6 +355,20 @@ class TestReport:
         assert report.ranks == ranks
         assert report.rank_histogram == hist
         assert report.gt_cosines == cosine_to_ground_truth(queries, pool)
+
+    def test_one_candidate_pool(self):
+        cand = Candidate(id=5, embedding=np.array([0.6, 0.8]), modality=Modality.IMAGE, source_task="t")
+        pool = build_local_pool([cand])
+        queries = QuerySet(
+            queries=[Query(id=i, embedding=np.array(e), modality=Modality.TEXT) for i, e in enumerate(([1.0, 0.0], [0.0, 1.0]))],
+            ground_truth={0: {5}, 1: {5}},
+        )
+        report = build_report(queries, pool, k_values=[1])
+        assert report.ranks == [1, 1]
+        assert report.rank_histogram == {"1": 2}
+        assert report.recall_at == {1: 1.0}
+        assert report.gt_cosines == [pytest.approx(0.6), pytest.approx(0.8)]
+        assert np.array_equal(cosine_by_rank(queries, pool, 1), oracle_curve(queries, pool, 1))
 
     def test_report_recall_monotone(self):
         rng = np.random.default_rng(12)
@@ -336,8 +415,9 @@ class TestReport:
         pool = RetrievalPool(make_candidates(rng, 8, 3), PoolSetting.GLOBAL)
         queries = make_query_set(rng, pool, 3, 3)
         report = build_report(queries, pool, k_values=[1, 2])
-        assert report.to_json() == report.to_json()
-        parsed = json.loads(report.to_json())
+        text = json.dumps(report.to_json_dict(), sort_keys=True)
+        assert text == json.dumps(build_report(queries, pool, k_values=[1, 2]).to_json_dict(), sort_keys=True)
+        parsed = json.loads(text)
         assert parsed["recall_at"]["2"] == report.recall_at[2]
 
 

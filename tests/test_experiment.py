@@ -256,6 +256,27 @@ class TestPipelineErrors:
         with pytest.raises(FormatError, match="does not match recomputation"):
             cmd_verify(cfg, paths)
 
+    def test_verify_rejects_truncated_report(self, tmp_path):
+        cfg = tiny_config(tmp_path / "run")
+        paths = ExperimentPaths.for_run(cfg.output_dir)
+        cmd_generate(cfg, paths)
+        cmd_train(cfg, paths)
+        cmd_eval(cfg, paths)
+        paths.report.write_bytes(paths.report.read_bytes()[:100])
+        with pytest.raises(FormatError, match="report .* is not valid JSON") as exc_info:
+            cmd_verify(cfg, paths)
+        assert 0 < exc_info.value.offset <= 100
+
+    def test_eval_rejects_undecodable_timings(self, tmp_path):
+        cfg = tiny_config(tmp_path / "run")
+        paths = ExperimentPaths.for_run(cfg.output_dir)
+        cmd_generate(cfg, paths)
+        cmd_train(cfg, paths)
+        paths.timings.write_bytes(b'{"generate": \xff}')
+        with pytest.raises(FormatError, match="timings .* is not UTF-8") as exc_info:
+            cmd_eval(cfg, paths)
+        assert exc_info.value.offset == 13
+
     def test_dataset_config_mismatch_rejected(self, tmp_path):
         cfg = tiny_config(tmp_path / "run")
         paths = ExperimentPaths.for_run(cfg.output_dir)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from gcl_lab.embeddings import EmbeddingMatrix, Modality, l2_normalize_rows
+from gcl_lab.embeddings import EmbeddingMatrix, Modality, normalize_rows
 from gcl_lab.errors import (
     BatchTooSmallError,
     ConfigError,
@@ -38,9 +38,9 @@ from oracles import oracle_cl, oracle_gcl, oracle_imsep
 def random_batch(rng, n, d, validate_norms=True):
     """Triplet of independent random unit-row matrices."""
     return TripletBatch.from_rows(
-        l2_normalize_rows(rng.standard_normal((n, d))),
-        l2_normalize_rows(rng.standard_normal((n, d))),
-        l2_normalize_rows(rng.standard_normal((n, d))),
+        normalize_rows(rng.standard_normal((n, d)))[0],
+        normalize_rows(rng.standard_normal((n, d)))[0],
+        normalize_rows(rng.standard_normal((n, d)))[0],
         validate_norms=validate_norms,
     )
 

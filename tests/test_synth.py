@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -215,7 +218,6 @@ class TestSharedWorld:
     def test_default_projection_seed_is_sample_seed(self):
         _, manifest = generate_dataset(n_pairs=4, k=2, d_in=6, sigma=0.1, seed=7)
         assert manifest.projection_seed == 7
-        assert manifest.effective_projection_seed == 7
 
     def test_explicit_same_seed_matches_default_exactly(self):
         pairs_a, _ = generate_dataset(n_pairs=8, k=3, d_in=10, sigma=0.2, seed=5)
@@ -317,6 +319,49 @@ class TestLoudFailures:
         (tmp_path / "data.gcld.json").write_bytes(sidecar)
         with pytest.raises(FormatError, match="sidecar"):
             read_dataset(path)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("split", "bogus", "split must be one of"),
+            ("duplication", "many", "duplication must be an int"),
+            ("projection_seed", [1], "projection_seed must be an int or null"),
+            ("sigma", 9.0, "sigma=9.0 disagrees"),
+        ],
+        ids=["split", "duplication", "projection_seed", "sigma"],
+    )
+    def test_sidecar_field_out_of_contract(self, field, value, message, tmp_path):
+        pairs, manifest = generate_dataset(n_pairs=4, k=2, d_in=6, sigma=0.1, seed=4)
+        path = tmp_path / "data.gcld"
+        write_dataset(pairs, manifest, path)
+        sidecar_path = tmp_path / "data.gcld.json"
+        sidecar = json.loads(sidecar_path.read_text())
+        sidecar[field] = value
+        sidecar_path.write_text(json.dumps(sidecar))
+        with pytest.raises(FormatError, match=message):
+            read_dataset(path)
+
+    def test_sidecar_sigma_may_be_the_unrounded_value(self, tmp_path):
+        pairs, manifest = generate_dataset(n_pairs=4, k=2, d_in=6, sigma=0.1, seed=4)
+        path = tmp_path / "data.gcld"
+        write_dataset(pairs, manifest, path)
+        sidecar_path = tmp_path / "data.gcld.json"
+        sidecar = json.loads(sidecar_path.read_text())
+        assert sidecar["sigma"] != 0.1  # stored as the float32 value
+        sidecar["sigma"] = 0.1
+        sidecar_path.write_text(json.dumps(sidecar))
+        assert read_dataset(path)[1] == manifest
+
+    def test_huge_header_d_in_is_a_format_error(self, tmp_path):
+        pairs, manifest = generate_dataset(n_pairs=4, k=2, d_in=6, sigma=0.1, seed=4)
+        path = tmp_path / "data.gcld"
+        write_dataset(pairs, manifest, path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<I", blob, 6, 0xFFFFFFF0)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="d_in=4294967280") as exc_info:
+            read_dataset(path)
+        assert exc_info.value.offset == 6
 
     def test_write_rejects_foreign_dtype(self, tmp_path):
         pairs, manifest = generate_dataset(n_pairs=4, k=2, d_in=6, sigma=0.1, seed=4)

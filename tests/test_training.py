@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import gcl_lab.training as training
-from gcl_lab.embeddings import Embedding, Modality, fuse_sum, l2_normalize_rows
+from gcl_lab.embeddings import Modality, l2_normalize, normalize_rows
 from gcl_lab.encoders import EncoderConfig, LinearEncoder, MlpEncoder, build_encoder
 from gcl_lab.errors import (
     ConfigError,
@@ -151,7 +151,7 @@ class TestEncoders:
     def test_identity_linear_encoder_passes_unit_inputs_through(self):
         cfg = EncoderConfig(d_in=4, d_out=4)
         enc = LinearEncoder(cfg, {"W": np.eye(4), "b": np.zeros(4)})
-        x = l2_normalize_rows(np.random.default_rng(1).standard_normal((5, 4)))
+        x = normalize_rows(np.random.default_rng(1).standard_normal((5, 4)))[0]
         np.testing.assert_allclose(enc.encode(x), x, atol=1e-12)
 
     def test_param_count(self):
@@ -191,7 +191,7 @@ class TestFusionBackprop:
     def test_no_renormalize_is_identity(self):
         rng = np.random.default_rng(3)
         g = rng.standard_normal((4, 3))
-        e = l2_normalize_rows(rng.standard_normal((4, 3)))
+        e = normalize_rows(rng.standard_normal((4, 3)))[0]
         out_i, out_t = fusion_backprop(g, e, e, renormalize=False)
         np.testing.assert_array_equal(out_i, g)
         np.testing.assert_array_equal(out_t, g)
@@ -206,8 +206,8 @@ class TestFusionBackprop:
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(4)
-        e_i = l2_normalize_rows(rng.standard_normal((3, 4)))
-        e_t = l2_normalize_rows(rng.standard_normal((3, 4)))
+        e_i = normalize_rows(rng.standard_normal((3, 4)))[0]
+        e_t = normalize_rows(rng.standard_normal((3, 4)))[0]
         probe = rng.standard_normal((3, 4))
 
         def head(ei):
@@ -235,7 +235,7 @@ class TestMixedObjectiveTerm:
     def test_matches_oracle_and_finite_differences(self, parity):
         query, candidate = MIXED_TASKS[parity]
         rng = np.random.default_rng(40 + parity)
-        batch = TripletBatch.from_rows(*(l2_normalize_rows(rng.standard_normal((4, 5))) for _ in range(3)))
+        batch = TripletBatch.from_rows(*(normalize_rows(rng.standard_normal((4, 5)))[0] for _ in range(3)))
         rows = {
             Modality.IMAGE: batch.images.rows,
             Modality.TEXT: batch.texts.rows,
@@ -254,7 +254,7 @@ class TestForwardBatch:
     def test_identity_encoders(self):
         cfg = EncoderConfig(d_in=4, d_out=4)
         enc = LinearEncoder(cfg, {"W": np.eye(4), "b": np.zeros(4)})
-        x = l2_normalize_rows(np.random.default_rng(5).standard_normal((6, 4)))
+        x = normalize_rows(np.random.default_rng(5).standard_normal((6, 4)))[0]
         batch = forward_batch(enc, enc, x, x)
         np.testing.assert_allclose(batch.images.rows, x, atol=1e-12)
         np.testing.assert_allclose(batch.texts.rows, x, atol=1e-12)
@@ -273,11 +273,8 @@ class TestForwardBatch:
         txt_enc = build_encoder(EncoderConfig(8, 4), rng)
         batch = forward_batch(img_enc, txt_enc, rng.standard_normal((5, 8)), rng.standard_normal((5, 8)))
         for j in range(5):
-            expected = fuse_sum(
-                Embedding(batch.images.rows[j], Modality.IMAGE),
-                Embedding(batch.texts.rows[j], Modality.TEXT),
-            )
-            np.testing.assert_allclose(batch.fused.rows[j], expected.values, atol=1e-12)
+            expected = l2_normalize(batch.images.rows[j] + batch.texts.rows[j])
+            np.testing.assert_allclose(batch.fused.rows[j], expected, atol=1e-12)
 
     def test_empty_batch_rejected(self):
         rng = np.random.default_rng(8)
@@ -547,6 +544,19 @@ class TestCheckpointFormat:
         with pytest.raises(FormatError) as exc_info:
             load_checkpoint(path)
         assert exc_info.value.offset == 0
+
+    def test_undecodable_array_name(self, tmp_path):
+        # Byte 54 is the first array's name length; flipping it makes the
+        # name run into binary array data.
+        pairs = small_dataset()
+        path = tmp_path / "model.gclc"
+        train(small_config(epochs=1), pairs, checkpoint_path=path)
+        blob = bytearray(path.read_bytes())
+        blob[54] ^= 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="array name is not UTF-8") as exc_info:
+            load_checkpoint(path)
+        assert exc_info.value.offset > 56
 
     def test_truncation_detected(self, tmp_path):
         pairs = small_dataset()
