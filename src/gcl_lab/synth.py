@@ -192,12 +192,6 @@ def write_dataset(pairs: np.ndarray, manifest: DatasetManifest, path: str | Path
     _sidecar_path(path).write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
 
 
-def _float32(value: float) -> float:
-    """value rounded to float32, as the header stores sigma (overflow gives inf)."""
-    with np.errstate(over="ignore"):
-        return float(np.float32(value))
-
-
 def read_dataset(path: str | Path) -> tuple[np.recarray, DatasetManifest]:
     """Read a GCLD file back; exact inverse of write_dataset.
 
@@ -250,7 +244,9 @@ def read_dataset(path: str | Path) -> tuple[np.recarray, DatasetManifest]:
                     f"sidecar {field_name}={sidecar.get(field_name)} disagrees with header {header_value}"
                 )
         sidecar_sigma = sidecar.get("sigma")
-        if type(sidecar_sigma) not in (int, float) or _float32(sidecar_sigma) != sigma:
+        with np.errstate(over="ignore"):  # a huge sigma rounds to inf and mismatches
+            sigma_agrees = type(sidecar_sigma) in (int, float) and float(np.float32(sidecar_sigma)) == sigma
+        if not sigma_agrees:
             raise FormatError(f"sidecar sigma={sidecar_sigma!r} disagrees with header {sigma}")
         split = sidecar.get("split", "train")
         if split not in SPLITS:
