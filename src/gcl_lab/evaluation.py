@@ -6,12 +6,14 @@ results are reproducible regardless of insertion order or platform. Two pool
 settings exist: a Local pool holds one (modality, task) bank, a Global pool
 mixes candidate banks freely.
 
-Every metric runs on one scoring path: a query set's rows are stacked and
-scored against the pool matrix in blocks of _BLOCK queries, one gemm per
-block, as in blocked exact flat search (Johnson et al., arXiv 1702.08734).
-A ground-truth rank is counted from the scores, not sorted for; only the
-head of each row that cosine_by_rank reports is sorted. Reported cosines
-are per-pair dot products, bit-identical to ``candidate @ query``.
+Every metric runs on one scoring path: a query set's rows are stacked once
+(QuerySet.rows) and scored against the pool matrix in blocks of _BLOCK
+queries, one gemm per block, as in blocked exact flat search (Johnson et
+al., arXiv 1702.08734). A ground-truth rank is counted from the scores, not
+sorted for; the id tie-break is evaluated only on rows with a tied score.
+Only the head of each row that cosine_by_rank reports is sorted, and a
+curve depends on the query rows and pool alone, not on the ground truth.
+Reported cosines are per-pair dot products, bit-identical to ``candidate @ query``.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import csv
 import io
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -105,9 +108,10 @@ class QuerySet:
             if not gt:
                 raise ConfigError(f"query {q.id} has no ground-truth candidates")
 
-
-def _query_rows(queries: QuerySet) -> np.ndarray:
-    return np.stack([np.asarray(q.embedding, dtype=np.float64) for q in queries.queries])
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The query embeddings as one float64 matrix, stacked on first use."""
+        return np.stack([np.asarray(q.embedding, dtype=np.float64) for q in self.queries])
 
 
 def _ground_truth_columns(queries: QuerySet, pool: RetrievalPool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -138,23 +142,25 @@ def _pair_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _ranks(queries: QuerySet, pool: RetrievalPool) -> np.ndarray:
-    """Best (minimum, 1-based) ground-truth rank per query.
+def _ranks(queries: QuerySet, pool: RetrievalPool, gt) -> np.ndarray:
+    """Best (minimum, 1-based) ground-truth rank per query, gt from _ground_truth_columns.
 
     Candidate g ranks at 1 + #(s > s_g) + #(s == s_g and id < id_g): a count
     over the query's scores, which equals g's place in the sorted order.
     """
-    gt_rows, columns, starts = _ground_truth_columns(queries, pool)
+    gt_rows, columns, starts = gt
     ranks = np.empty(len(queries.queries), dtype=np.int64)
-    for start, scores in _score_blocks(_query_rows(queries), pool):
+    for start, scores in _score_blocks(queries.rows, pool):
         stop = start + len(scores)
         entries = slice(starts[start], starts[stop])
         cols = columns[entries]
         s = scores[gt_rows[entries] - start]
         s_gt = s[np.arange(len(cols)), cols][:, None]
-        before = np.count_nonzero(s > s_gt, axis=1) + np.count_nonzero(
-            (s == s_gt) & (pool.ids < pool.ids[cols][:, None]), axis=1
-        )
+        before = np.count_nonzero(s > s_gt, axis=1)
+        # the id term counts only where another candidate scores exactly s_g
+        tied = np.flatnonzero(np.count_nonzero(s >= s_gt, axis=1) - before > 1)
+        tie = (s[tied] == s_gt[tied]) & (pool.ids < pool.ids[cols[tied], None])
+        before[tied] += np.count_nonzero(tie, axis=1)
         ranks[start:stop] = np.minimum.reduceat(1 + before, starts[start:stop] - starts[start])
     return ranks
 
@@ -163,15 +169,8 @@ def recall_at_k(queries: QuerySet, pool: RetrievalPool, k: int) -> float:
     """Fraction of queries whose top-K hits their ground-truth set."""
     if not (1 <= k <= pool.size):
         raise KOutOfRangeError(f"K={k} outside [1, {pool.size}]")
-    ranks = _ranks(queries, pool)
+    ranks = _ranks(queries, pool, _ground_truth_columns(queries, pool))
     return np.count_nonzero(ranks <= k) / len(ranks)
-
-
-def _bucket_edges(pool_size: int) -> list[int]:
-    edges = [1]
-    while edges[-1] * 2 <= pool_size:
-        edges.append(edges[-1] * 2)
-    return edges
 
 
 def rank_of_ground_truth(
@@ -184,17 +183,20 @@ def rank_of_ground_truth(
     Buckets default to powers of two up to the pool size; each bucket spans
     [edge, next_edge) clipped to the pool size.
     """
-    ranks = _ranks(queries, pool)
-    edges = bucket_edges if bucket_edges is not None else _bucket_edges(pool.size)
+    ranks = _ranks(queries, pool, _ground_truth_columns(queries, pool))
+    return ranks.tolist(), _histogram(ranks, pool.size, bucket_edges)
+
+
+def _histogram(ranks: np.ndarray, pool_size: int, bucket_edges: list[int] | None = None) -> dict[str, int]:
+    edges = bucket_edges if bucket_edges is not None else [2**i for i in range(pool_size.bit_length())]
     if not edges or any(e < 1 for e in edges) or sorted(edges) != list(edges):
         raise ConfigError(f"bucket edges must be ascending and >= 1, got {edges}")
     histogram: dict[str, int] = {}
     for i, lo in enumerate(edges):
-        hi = (edges[i + 1] - 1) if i + 1 < len(edges) else pool.size
-        hi = min(hi, pool.size)
+        hi = min((edges[i + 1] - 1) if i + 1 < len(edges) else pool_size, pool_size)
         label = str(lo) if lo == hi else f"{lo}-{hi}"
         histogram[label] = int(np.count_nonzero((ranks >= lo) & (ranks <= hi)))
-    return ranks.tolist(), histogram
+    return histogram
 
 
 def build_global_pool(sources: Iterable[Iterable[Candidate]]) -> RetrievalPool:
@@ -212,8 +214,12 @@ def build_local_pool(candidates: Iterable[Candidate]) -> RetrievalPool:
 
 def cosine_to_ground_truth(queries: QuerySet, pool: RetrievalPool) -> list[float]:
     """cosine(query, best-ranked ground-truth candidate) per query."""
-    gt_rows, columns, starts = _ground_truth_columns(queries, pool)
-    cosines = _pair_dots(pool.matrix[columns], _query_rows(queries)[gt_rows])
+    return _gt_cosines(queries, pool, _ground_truth_columns(queries, pool))
+
+
+def _gt_cosines(queries: QuerySet, pool: RetrievalPool, gt) -> list[float]:
+    gt_rows, columns, starts = gt
+    cosines = _pair_dots(pool.matrix[columns], queries.rows[gt_rows])
     return np.clip(np.maximum.reduceat(cosines, starts[:-1]), -1.0, 1.0).tolist()
 
 
@@ -233,14 +239,13 @@ def cosine_by_rank(queries: QuerySet, pool: RetrievalPool, max_rank: int) -> np.
     """Mean over queries of cosine(query, r-th ranked candidate), r = 1..max_rank."""
     if not (1 <= max_rank <= pool.size):
         raise KOutOfRangeError(f"max_rank={max_rank} outside [1, {pool.size}]")
-    rows = _query_rows(queries)
-    acc = np.zeros(max_rank)
+    rows = queries.rows
+    curves = np.empty((len(rows), max_rank))
     for start, scores in _score_blocks(rows, pool):
-        heads = _heads(scores, pool.ids, max_rank)
-        block = rows[start : start + len(scores), None, :]
-        for curve in np.clip(_pair_dots(pool.matrix[heads], block), -1.0, 1.0):
-            acc += curve  # one query at a time, so the sum's rounding follows query order
-    return acc / len(rows)
+        block = slice(start, start + len(scores))
+        curves[block] = _pair_dots(pool.matrix[_heads(scores, pool.ids, max_rank)], rows[block, None, :])
+    # cumsum adds one query at a time, so the sum's rounding follows query order
+    return np.cumsum(np.clip(curves, -1.0, 1.0), axis=0)[-1] / len(rows)
 
 
 @dataclass
@@ -300,21 +305,21 @@ def build_report(
     for k in k_values:
         if not (1 <= k <= pool.size):
             raise KOutOfRangeError(f"K={k} outside [1, {pool.size}]")
-    ranks, histogram = rank_of_ground_truth(queries, pool)
-    recall = {k: np.count_nonzero(np.array(ranks) <= k) / len(ranks) for k in k_values}
+    gt = _ground_truth_columns(queries, pool)
+    ranks = _ranks(queries, pool, gt)
     report = RetrievalReport(
         setting=pool.setting.value,
         k_values=list(k_values),
-        recall_at=recall,
-        rank_histogram=histogram,
-        ranks=ranks,
-        gt_cosines=cosine_to_ground_truth(queries, pool),
+        recall_at={k: np.count_nonzero(ranks <= k) / len(ranks) for k in k_values},
+        rank_histogram=_histogram(ranks, pool.size),
+        ranks=ranks.tolist(),
+        gt_cosines=_gt_cosines(queries, pool, gt),
         query_ids=[q.id for q in queries.queries],
         rank_cap=rank_cap,
     )
     if rank_cap is not None:
         if rank_cap < 1:
             raise ConfigError(f"rank_cap must be >= 1, got {rank_cap}")
-        report.capped_ranks = [min(r, rank_cap) for r in ranks]
-        report.dropped_beyond_cap = sum(1 for r in ranks if r > rank_cap)
+        report.capped_ranks = np.minimum(ranks, rank_cap).tolist()
+        report.dropped_beyond_cap = int(np.count_nonzero(ranks > rank_cap))
     return report

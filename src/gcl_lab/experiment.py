@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import GapReport, PcaProjection, modality_gap_table, pca_2d
-from .embeddings import MODALITIES, Modality, modality_from_code
+from .embeddings import MODALITIES, Modality
 from .errors import ConfigError, FormatError, InvalidDimsError, NonFiniteGradientError
 from .evaluation import (
     Candidate,
@@ -113,11 +113,6 @@ TASKS = tuple(
 )
 
 
-def _task_modalities(task: str) -> tuple[Modality, Modality]:
-    query_part, cand_part = task.split("->")
-    return modality_from_code(query_part[2:]), modality_from_code(cand_part[2:])
-
-
 def materialize_config(raw: dict) -> dict:
     """Fill every default and reject unknown keys; returns the canonical dict."""
     if not isinstance(raw, dict):
@@ -171,7 +166,9 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
         try:
-            raw = json.loads(Path(path).read_text())
+            raw = json.loads(Path(path).read_bytes().decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8: {exc.reason} at byte {exc.start}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         return cls.from_dict(raw)
@@ -398,10 +395,15 @@ def cmd_train(
         _require_dataset(paths.triplet_data, "mixed-objective")
         second_pairs, _ = read_dataset(paths.triplet_data)
     resume_from = None
+    existing_records = []
     if resume:
         if not paths.checkpoint.exists():
             raise ConfigError(f"cannot resume: checkpoint {paths.checkpoint} does not exist")
         resume_from = paths.checkpoint
+        if paths.train_log.exists():  # read before training, so a bad log leaves the checkpoint alone
+            existing_records = _read_json(paths.train_log, "training log").get("records")
+            if not isinstance(existing_records, list):
+                raise FormatError(f"training log {paths.train_log} has no list of records")
 
     paths.failure.unlink(missing_ok=True)
     started = time.perf_counter()
@@ -419,10 +421,6 @@ def cmd_train(
             _write_json(paths.failure, exc.state_dump)
         raise
     elapsed = time.perf_counter() - started
-
-    existing_records = []
-    if resume and paths.train_log.exists():
-        existing_records = _read_json(paths.train_log, "training log")["records"]
     records = existing_records + log
     _write_json(
         paths.train_log,
@@ -533,7 +531,11 @@ class RunReport:
 
 
 def compute_run_report(cfg: ExperimentConfig, paths: ExperimentPaths) -> RunReport:
-    """Build the full evaluation report in memory (no files written)."""
+    """Build the full evaluation report in memory (no files written).
+
+    Each (task, pool) gets a build_report; each distinct (query modality,
+    pool) gets one curve, so a query modality's three tasks share the global one.
+    """
     candidate_rows, query_rows = _encode_eval_views(cfg, paths)
     banks = _candidate_banks(candidate_rows)
     global_pool = build_global_pool([banks[m] for m in MODALITIES])
@@ -543,20 +545,25 @@ def compute_run_report(cfg: ExperimentConfig, paths: ExperimentPaths) -> RunRepo
     rank_cap = cfg.eval_plan["rank_cap"]
     tasks: dict[str, dict[str, RetrievalReport]] = {}
     curves: dict[str, dict[str, list[float]]] = {}
-    for task in TASKS:
-        query_modality, cand_modality = _task_modalities(task)
-        queries = _query_set_for_task(query_rows, query_modality, cand_modality)
-        tasks[task] = {}
-        curves[task] = {}
-        for setting, pool in (("global", global_pool), ("local", local_pools[cand_modality])):
-            usable_k = [k for k in k_values if k <= pool.size]
-            if not usable_k:
-                raise ConfigError(f"no configured K fits pool of size {pool.size} for task {task}")
-            tasks[task][setting] = build_report(queries, pool, usable_k, rank_cap=rank_cap)
-            max_rank = min(max(usable_k), pool.size)
-            curves[task][setting] = [
-                float(v) for v in cosine_by_rank(queries, pool, max_rank)
-            ]
+
+    def curve(queries, pool) -> list[float]:
+        return [float(v) for v in cosine_by_rank(queries, pool, max(k for k in k_values if k <= pool.size))]
+
+    for query_modality in MODALITIES:
+        global_curve = None  # a curve does not depend on the ground truth: one per query modality
+        for cand_modality in MODALITIES:
+            task = f"q_{query_modality.code}->c_{cand_modality.code}"
+            queries = _query_set_for_task(query_rows, query_modality, cand_modality)
+            local_pool = local_pools[cand_modality]
+            tasks[task] = {}
+            for setting, pool in (("global", global_pool), ("local", local_pool)):
+                usable_k = [k for k in k_values if k <= pool.size]
+                if not usable_k:
+                    raise ConfigError(f"no configured K fits pool of size {pool.size} for task {task}")
+                tasks[task][setting] = build_report(queries, pool, usable_k, rank_cap=rank_cap)
+            if global_curve is None:
+                global_curve = curve(queries, global_pool)
+            curves[task] = {"global": global_curve, "local": curve(queries, local_pool)}
 
     gap_samples = {m: candidate_rows[m] for m in MODALITIES}
     gap = modality_gap_table(gap_samples)

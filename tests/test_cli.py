@@ -44,9 +44,11 @@ class TestExitCodes:
 
     def test_malformed_json_config_exits_two(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
-        path.write_text("{oops")
-        assert run_cli("generate", "--config", str(path)) == 2
-        assert "not valid JSON" in capsys.readouterr().err
+        for content, message in ((b"{oops", "not valid JSON"), (b"\xff{}", "not UTF-8")):
+            path.write_bytes(content)
+            assert run_cli("generate", "--config", str(path)) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and message in err
 
     def test_missing_artifacts_exit_two(self, tiny_cfg, capsys):
         assert run_cli("train", "--config", str(tiny_cfg)) == 2

@@ -11,19 +11,25 @@ import numpy as np
 import pytest
 
 import gcl_lab.training as training
+from gcl_lab.embeddings import MODALITIES
 from gcl_lab.errors import ConfigError, FormatError, InvalidDimsError, NonFiniteGradientError
+from gcl_lab.evaluation import build_global_pool, build_local_pool, cosine_by_rank
 from gcl_lab.experiment import (
     ABLATION_VARIANTS,
     SCHEMA_VERSION,
     TASKS,
     ExperimentConfig,
     ExperimentPaths,
+    _candidate_banks,
+    _encode_eval_views,
+    _query_set_for_task,
     cmd_ablate,
     cmd_eval,
     cmd_generate,
     cmd_report,
     cmd_train,
     cmd_verify,
+    compute_run_report,
     materialize_config,
 )
 from gcl_lab.losses import LossGrads, LossOutput
@@ -114,9 +120,10 @@ class TestConfig:
 
     def test_from_file_rejects_malformed_json(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text("{not json")
-        with pytest.raises(ConfigError, match="not valid JSON"):
-            ExperimentConfig.from_file(path)
+        for content, message in ((b"{not json", "not valid JSON"), (b"\xff{}", "not UTF-8: .* at byte 0")):
+            path.write_bytes(content)
+            with pytest.raises(ConfigError, match=message):
+                ExperimentConfig.from_file(path)
 
     def test_from_file_round_trips(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -223,6 +230,23 @@ class TestPipeline:
         timings = json.loads(paths.timings.read_text())
         assert {"generate", "train", "eval"} <= set(timings)
         assert timings["train"]["seconds"] > 0
+
+    def test_every_curve_matches_its_own_query_set(self, finished_run):
+        # global curves are shared within a query modality, never across them
+        cfg, paths = finished_run
+        curves = compute_run_report(cfg, paths).cosine_curves
+        candidate_rows, query_rows = _encode_eval_views(cfg, paths)
+        banks = _candidate_banks(candidate_rows)
+        global_pool = build_global_pool([banks[m] for m in MODALITIES])
+        for query_modality in MODALITIES:
+            for cand_modality in MODALITIES:
+                task = f"q_{query_modality.code}->c_{cand_modality.code}"
+                queries = _query_set_for_task(query_rows, query_modality, cand_modality)
+                local_pool = build_local_pool(banks[cand_modality])
+                for setting, pool in (("global", global_pool), ("local", local_pool)):
+                    max_rank = max(k for k in cfg.eval_plan["k_values"] if k <= pool.size)
+                    direct = cosine_by_rank(queries, pool, max_rank)
+                    assert np.array_equal(curves[task][setting], direct), (task, setting)
 
 
 class TestPipelineErrors:
@@ -341,6 +365,18 @@ class TestDeterminism:
         log_a = json.loads(paths_a.train_log.read_text())
         log_b = json.loads(paths_b.train_log.read_text())
         assert log_a == log_b
+
+    @pytest.mark.parametrize("log", [{"config_hash": "x"}, {"config_hash": "x", "records": 3}])
+    def test_resume_rejects_log_without_records(self, tmp_path, log):
+        cfg = tiny_config(tmp_path / "run")
+        paths = ExperimentPaths.for_run(cfg.output_dir)
+        cmd_generate(cfg, paths)
+        cmd_train(cfg, paths, stop_after_epochs=1)
+        checkpoint = paths.checkpoint.read_bytes()
+        paths.train_log.write_text(json.dumps(log))
+        with pytest.raises(FormatError, match="no list of records"):
+            cmd_train(cfg, paths, resume=True)
+        assert paths.checkpoint.read_bytes() == checkpoint  # rejected before training resumed
 
     def test_resume_without_checkpoint_fails(self, tmp_path):
         cfg = tiny_config(tmp_path / "run")
