@@ -26,6 +26,18 @@ The variants are these term lists:
 - ``two_direction_loss``: cl_loss's shape for any two modalities; the mixed
   training objective's fused->image and text->fused tasks.
 
+Terms that share (query a, candidates, negatives) form a group. A group
+walks its anchors in blocks of rows sized so that the block's logit slab
+against the stacked candidate rows C (c*N x d) fits a fixed cache budget;
+no N x N block is ever stored. Each block makes one gemm for the slab
+(E_a[rows] / tau) C^T, reads the positives off its diagonals and masks them
+for the offdiag kinds, shifts, exponentiates and normalizes in place, then
+makes two gemms that push the logit gradient into dE_a[rows] and dC. The
+row kinds finish in that one pass. ``pooled_offdiag`` needs its scalar
+normalizer before any gradient, so it keeps an online max and sum over the
+blocks (Milakov & Gimelshein, arXiv 1805.02867) and defers each block's
+rows x d gradient product until the normalizer is known.
+
 Every loss returns its value, the per-term breakdown, and analytic gradients
 with respect to all three embedding matrices and the temperature. The fused
 matrix is treated as an independent input; the trainer composes the fusion
@@ -36,7 +48,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -214,102 +225,109 @@ class LossOutput:
 Term = tuple[str, Modality, Modality, tuple[Modality, ...], str]
 
 
+# Bytes of one logit slab: cache-sized, and N = 128 against all three
+# modalities is one block.
+_SLAB_BYTES = 1 << 20
+
+
 def _contrastive(
-    rows: dict[Modality, np.ndarray],
-    terms: list[Term],
-    tau: float,
-    normalization: float,
+    rows: dict[Modality, np.ndarray], terms: list[Term], tau: float, normalization: float
 ) -> LossOutput:
     """Sum of contrastive terms divided by normalization, with its gradients.
 
-    Each logit block s_am = E_a E_m^T / tau is computed once, and s_ma is
-    read as the transpose of s_am. Terms that share (query, candidates,
-    negatives) share one exponentiation and one normalizer. Logit gradients
-    G accumulate per stored block and reach the rows in one pass:
-    dE_a += G E_m / tau, dE_m += G^T E_a / tau, and
-    dtau = -sum(G * S) / tau with the stored S.
+    A block's slab holds e = exp(S - shift). With w the rows' weight on their
+    normalizers, the logit gradient G = w e reaches the rows as
+    dE_a[rows] += w (e C) and dC += e^T (w E_a[rows]), so the slab is never
+    rescaled; a positive's coefficient adds its partner row directly.
+    dtau = -sum(G * S) / tau is accumulated as -vdot(E_a[rows], G C) / tau^2.
     """
-    n, d = next(iter(rows.values())).shape
-    logits: dict[Pair, np.ndarray] = {}
-    logit_grads: dict[Pair, np.ndarray] = {}
-
-    def logit_block(a: Modality, m: Modality) -> np.ndarray:
-        if (a, m) not in logits:
-            if (m, a) in logits:
-                return logits[(m, a)].T
-            logits[(a, m)] = rows[a] @ rows[m].T / tau
-        return logits[(a, m)]
-
-    def grad_block(a: Modality, m: Modality) -> np.ndarray:
-        key = (a, m) if (a, m) in logits else (m, a)
-        if key not in logit_grads:
-            logit_grads[key] = np.zeros((n, n))
-        return logit_grads[key] if key == (a, m) else logit_grads[key].T
+    order = [m for m in MODALITIES if m in rows]
+    n, d = rows[order[0]].shape
+    # each group's candidates are a run of this order, so C is a view
+    stack = np.concatenate([rows[m] for m in order])
+    grad = np.zeros_like(stack)
+    offset = {m: k * n for k, m in enumerate(order)}
+    dE = {m: grad[k : k + n] for m, k in offset.items()}
 
     groups: dict[tuple[Modality, tuple[Modality, ...], str], list[tuple[str, Modality]]] = {}
     for name, a, b, candidates, negatives in terms:
         groups.setdefault((a, candidates, negatives), []).append((name, b))
 
     term_sums: dict[str, float] = {}
-    diag = np.arange(n)
-    for (a, candidates, negatives), members in groups.items():
-        blocks = [logit_block(a, m) for m in candidates]
-        positives = {b: np.diagonal(logit_block(a, b))[:, None] for _, b in members}
-        # row kinds normalize each row on its own; the pooled kind shares one
-        # normalizer, so its shift and weight are scalars (kept as 1x1)
-        axis = None if negatives == "pooled_offdiag" else 1
-        exps = []
-        if negatives == "row":
-            shift = reduce(np.maximum, [s.max(axis=1, keepdims=True) for s in blocks])
-        else:
-            # diagonal entries are positives of some anchor: never negatives
-            offdiag = ~np.eye(n, dtype=bool)
-            shift = reduce(
-                np.maximum,
-                [np.max(s, axis=axis, keepdims=True, where=offdiag, initial=-np.inf) for s in blocks],
-            )
-        if negatives == "row" or n > 1:
-            for s in blocks:
-                e = np.exp(s - shift)
-                if negatives != "row":
-                    e[diag, diag] = 0.0
-                exps.append(e)
-            log_norm = shift + np.log(sum(e.sum(axis=axis, keepdims=True) for e in exps))
-        else:
-            log_norm = -np.inf  # N=1 leaves no off-diagonal negatives
-        if negatives == "row":
-            log_z = {b: log_norm for _, b in members}
-        else:
-            log_z = {b: np.logaddexp(positives[b], log_norm) for _, b in members}
-        for name, b in members:
-            term_sums[name] = float(np.sum(log_z[b] - positives[b]))
-
-        if exps:
-            # every candidate entry's share of each member's denominator
-            weight = sum(np.exp(shift - log_z[b]) for _, b in members)
-            if negatives == "pooled_offdiag":
-                weight = weight.sum()
-            for m, e in zip(candidates, exps):
-                e *= weight
-                grad_block(a, m)[...] += e
-        for _, b in members:
-            if negatives == "row":
-                grad_block(a, b)[diag, diag] -= 1.0
-            else:
-                grad_block(a, b)[diag, diag] += np.exp(positives[b] - log_z[b])[:, 0] - 1.0
-
-    grads = {m: np.zeros((n, d)) for m in MODALITIES}
     g_dot_s = 0.0
-    for (a, m), g in logit_grads.items():
-        grads[a] += g @ rows[m]
-        grads[m] += g.T @ rows[a]
-        g_dot_s += float(np.vdot(g, logits[(a, m)]))
+    for (a, candidates, negatives), members in groups.items():
+        c, lo = len(candidates), offset[candidates[0]]
+        C, dC, Ea = stack[lo : lo + c * n], grad[lo : lo + c * n], rows[a]
+        query = Ea / tau
+        masked, pooled = negatives != "row", negatives == "pooled_offdiag"
+        # a positive among the candidates is read off the slab's diagonal
+        pos = {
+            b: np.zeros((n, 1)) if b in candidates else np.sum(query * rows[b], axis=1, keepdims=True)
+            for _, b in members
+        }
+        diagonals = [(pos[b], candidates.index(b)) for _, b in members if b in candidates]
+        # with N = 1 the masked kinds have no negatives: each log_z is its positive
+        log_z = {b: np.empty((n, 1)) for _, b in members} if n > 1 or not masked else pos
+        # G C per block and G^T E_a summed over blocks; the pooled kind scales
+        # both once its normalizer is known
+        shift, total, g_c_blocks, g_t_a = -np.inf, 0.0, [], np.zeros_like(C)
+        step = max(1, _SLAB_BYTES // (8 * c * n))
+        for r0 in range(0, n, step) if n > 1 or not masked else ():
+            r, i = slice(r0, min(r0 + step, n)), np.arange(min(step, n - r0))
+            s = query[r] @ C.T
+            s3 = s.reshape(len(i), c, n)
+            for p, k in diagonals:
+                p[r, 0] = s3[i, k, r0 + i]
+            if masked:  # diagonal entries are positives of some anchor: never negatives
+                s3[i, :, r0 + i] = -np.inf
+            if pooled:
+                # online normalizer: rescale what was summed under a lower shift
+                top, weight = s.max(), 1.0
+                if top > shift:
+                    total *= np.exp(shift - top)
+                    g_t_a *= np.exp(shift - top)
+                    shift = top
+            else:
+                shift = s.max(axis=1, keepdims=True)
+            s -= shift
+            np.exp(s, out=s)
+            if pooled:
+                total += s.sum()
+            else:
+                log_norm = shift + np.log(s.sum(axis=1, keepdims=True))
+                for _, b in members:
+                    log_z[b][r] = np.logaddexp(pos[b][r], log_norm) if masked else log_norm
+                # each row's share of its members' denominators
+                weight = sum(np.exp(shift - log_z[b][r]) for _, b in members)
+            g_c_blocks.append((r, shift, (s @ C) * weight))
+            g_t_a += s.T @ (Ea[r] * weight)
+        if pooled and g_c_blocks:
+            log_norm = shift + np.log(total)
+            for _, b in members:
+                log_z[b][...] = np.logaddexp(pos[b], log_norm)
+            weight = sum(np.exp(shift - log_z[b]) for _, b in members).sum()
+            g_t_a *= weight
+            for _, block_shift, g_c in g_c_blocks:
+                g_c *= weight * np.exp(block_shift - shift)
+        dC += g_t_a
+        for r, _, g_c in g_c_blocks:
+            for _, b in members:
+                # the positive: -1, plus its own share of a masked denominator
+                coef = np.exp(pos[b][r] - log_z[b][r]) - 1.0 if masked else -1.0
+                g_c += coef * rows[b][r]
+                dE[b][r] += coef * Ea[r]
+            dE[a][r] += g_c
+            g_dot_s += float(np.vdot(Ea[r], g_c))
+        for name, b in members:
+            term_sums[name] = float(np.sum(log_z[b] - pos[b]))
+
     scale = 1.0 / (tau * normalization)
+    grad *= scale
     return LossOutput(
         value=sum(term_sums[name] for name, *_ in terms) / normalization,
         per_term={name: term_sums[name] / n for name, *_ in terms},
-        grads=LossGrads(images=grads[_I] * scale, texts=grads[_T] * scale, fused=grads[_IT] * scale),
-        grad_tau=-g_dot_s * scale,
+        grads=LossGrads(*(dE.get(m, np.zeros((n, d))) for m in MODALITIES)),
+        grad_tau=-g_dot_s / tau * scale,
     )
 
 
@@ -390,11 +408,8 @@ def gcl_loss_ablation(
     """
     if drop not in ABLATION_DROPS:
         raise ConfigError(f"unknown ablation {drop!r}; expected one of {sorted(ABLATION_DROPS)}")
-    base = cfg if cfg is not None else LossConfig()
-    dropped = set(ABLATION_DROPS[drop])
-    kept = tuple(p for p in FULL_PAIR_SET if p not in dropped)
-    ablated = replace(base, pair_set=kept, normalization=float(4 * batch.n))
-    return gcl_loss(batch, ablated)
+    kept = tuple(p for p in FULL_PAIR_SET if p not in ABLATION_DROPS[drop])
+    return gcl_loss(batch, replace(cfg or LossConfig(), pair_set=kept, normalization=float(4 * batch.n)))
 
 
 def intra_modality_separation_loss(
@@ -436,33 +451,16 @@ def loss_gradient_check(
     if not (1e-7 <= epsilon <= 1e-3):
         raise ConfigError(f"epsilon must lie in [1e-7, 1e-3], got {epsilon}")
     out = loss_fn(batch)
-    mats = {
-        "images": batch.images.rows,
-        "texts": batch.texts.rows,
-        "fused": batch.fused.rows,
-    }
-    analytic = {
-        "images": out.grads.images,
-        "texts": out.grads.texts,
-        "fused": out.grads.fused,
-    }
-
-    def rebuild(name: str, perturbed: np.ndarray) -> TripletBatch:
-        parts = dict(mats)
-        parts[name] = perturbed
-        return TripletBatch.from_rows(parts["images"], parts["texts"], parts["fused"], validate_norms=False)
-
+    mats = {"images": batch.images.rows, "texts": batch.texts.rows, "fused": batch.fused.rows}
     max_rel = 0.0
     for name, base in mats.items():
         for idx in np.ndindex(base.shape):
-            plus = base.copy()
-            plus[idx] += epsilon
-            minus = base.copy()
-            minus[idx] -= epsilon
-            f_plus = loss_fn(rebuild(name, plus)).value
-            f_minus = loss_fn(rebuild(name, minus)).value
-            numeric = (f_plus - f_minus) / (2.0 * epsilon)
-            a = float(analytic[name][idx])
-            rel = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
-            max_rel = max(max_rel, rel)
+            values = []
+            for delta in (epsilon, -epsilon):
+                moved = base.copy()
+                moved[idx] += delta
+                values.append(loss_fn(TripletBatch.from_rows(**{**mats, name: moved}, validate_norms=False)).value)
+            numeric = (values[0] - values[1]) / (2.0 * epsilon)
+            a = float(getattr(out.grads, name)[idx])
+            max_rel = max(max_rel, abs(a - numeric) / max(1.0, abs(a), abs(numeric)))
     return max_rel

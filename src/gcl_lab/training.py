@@ -231,12 +231,11 @@ class TrainedModel:
 
 
 def _loss_for_variant(kind, drop, batch, loss_cfg):
+    """The variant's loss; for cl and imsep, loss_cfg already holds CL_PAIR_SET."""
     if kind == "cl":
-        return cl_loss(batch.images, batch.texts, replace(loss_cfg, pair_set=CL_PAIR_SET, normalization=None))
+        return cl_loss(batch.images, batch.texts, loss_cfg)
     if kind == "imsep":
-        return intra_modality_separation_loss(
-            batch.images, batch.texts, replace(loss_cfg, pair_set=CL_PAIR_SET, normalization=None)
-        )
+        return intra_modality_separation_loss(batch.images, batch.texts, loss_cfg)
     if kind == "gcl_ablation":
         return gcl_loss_ablation(batch, drop, loss_cfg)
     # gcl and the main term of gcl_plus_triplet
@@ -351,6 +350,10 @@ def train(
             f"resuming at epoch {start_epoch} of {config.epochs}"
         )
 
+    # cl and imsep read the two cross-modal pairs with the default normalization
+    loss_cfg = config.loss
+    if kind in ("cl", "imsep"):
+        loss_cfg = replace(loss_cfg, pair_set=CL_PAIR_SET, normalization=None)
     log: list[dict] = []
     step = start_epoch * steps_per_epoch
     for epoch in range(start_epoch, last_epoch):
@@ -361,7 +364,8 @@ def train(
         for b in range(steps_per_epoch):
             idx = order[b * config.batch_size : (b + 1) * config.batch_size]
             tau_now = float(np.exp(params["log_tau"])) if config.learnable_tau else config.loss.tau
-            loss_cfg = replace(config.loss, tau=tau_now)
+            if loss_cfg.tau != tau_now:  # only a learnable tau moves; rebuilding re-validates
+                loss_cfg = replace(loss_cfg, tau=tau_now)
 
             e_i, cache_i = image_encoder.forward(x_img_all[idx])
             e_t, cache_t = text_encoder.forward(x_txt_all[idx])

@@ -63,15 +63,18 @@ def oracle_gcl(
     per_term = {}
     for a, b in pairs:
         term = 0.0
+        if masked:
+            # the shared pool: every off-diagonal entry of the query modality's blocks
+            pool = 0.0
+            for m in ("i", "t", "it"):
+                for r in range(n):
+                    for k in range(n):
+                        if r != k:
+                            pool += math.exp(float(np.dot(mats[a][r], mats[m][k])) / tau)
         for j in range(n):
             num = math.exp(float(np.dot(mats[a][j], mats[b][j])) / tau)
             if masked:
-                den = num
-                for m in ("i", "t", "it"):
-                    for r in range(n):
-                        for k in range(n):
-                            if r != k:
-                                den += math.exp(float(np.dot(mats[a][r], mats[m][k])) / tau)
+                den = num + pool
             else:
                 den = 0.0
                 for m in ("i", "t", "it"):
@@ -85,13 +88,14 @@ def oracle_gcl(
     return total / normalization, per_term
 
 
-def oracle_imsep(images: np.ndarray, texts: np.ndarray, tau: float) -> float:
-    """Standard loss plus cross-modal-positive vs same-modality-negative terms."""
+def oracle_separation_terms(images: np.ndarray, texts: np.ndarray, tau: float) -> dict[str, float]:
+    """sep_i and sep_t, each summed over anchors and divided by N: the
+    cross-modal positive against the anchor's same-modality row (k != j)."""
     n = images.shape[0]
     mats = {"i": images, "t": texts}
-    cl_value, _ = oracle_cl(images, texts, tau)
-    sep = 0.0
+    per_term = {}
     for a, b in (("i", "t"), ("t", "i")):
+        sep = 0.0
         for j in range(n):
             num = math.exp(float(np.dot(mats[a][j], mats[b][j])) / tau)
             den = num
@@ -99,7 +103,15 @@ def oracle_imsep(images: np.ndarray, texts: np.ndarray, tau: float) -> float:
                 if k != j:
                     den += math.exp(float(np.dot(mats[a][j], mats[a][k])) / tau)
             sep += -math.log(num / den)
-    return cl_value + sep / (2 * n)
+        per_term[f"sep_{a}"] = sep / n
+    return per_term
+
+
+def oracle_imsep(images: np.ndarray, texts: np.ndarray, tau: float) -> float:
+    """Standard loss plus cross-modal-positive vs same-modality-negative terms."""
+    cl_value, _ = oracle_cl(images, texts, tau)
+    sep = oracle_separation_terms(images, texts, tau)
+    return cl_value + (sep["sep_i"] + sep["sep_t"]) / 2
 
 
 def oracle_gcld_records(

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from gcl_lab import losses
 from gcl_lab.embeddings import EmbeddingMatrix, Modality, normalize_rows
 from gcl_lab.errors import (
     BatchTooSmallError,
@@ -30,9 +31,10 @@ from gcl_lab.losses import (
     loss_gradient_check,
     pair_name,
     parse_pair,
+    two_direction_loss,
 )
 
-from oracles import oracle_cl, oracle_gcl, oracle_imsep
+from oracles import oracle_cl, oracle_gcl, oracle_imsep, oracle_separation_terms
 
 
 def random_batch(rng, n, d, validate_norms=True):
@@ -378,3 +380,132 @@ class TestGradientCheck:
             out = fn(batch, 0.07)
             numeric = (fn(batch, 0.07 + eps).value - fn(batch, 0.07 - eps).value) / (2 * eps)
             assert out.grad_tau == pytest.approx(numeric, rel=1e-5, abs=1e-8)
+
+
+# Query rows per block in the multi-block tests below.
+BLOCK = 5
+LITERAL = DenominatorMode.EQUATION_LITERAL
+MASKED = DenominatorMode.ALGORITHM_MASKED
+
+
+def set_block_rows(monkeypatch, n, width, rows=BLOCK):
+    """Size the slab budget so a group with `width` candidate modalities at
+    batch size n walks `rows` query rows per block."""
+    monkeypatch.setattr(losses, "_SLAB_BYTES", 8 * width * n * rows)
+
+
+def oracle_imsep_terms(b, tau):
+    _, cl_terms = oracle_cl(b.images.rows, b.texts.rows, tau)
+    sep_terms = oracle_separation_terms(b.images.rows, b.texts.rows, tau)
+    return oracle_imsep(b.images.rows, b.texts.rows, tau), {**cl_terms, **sep_terms}
+
+
+def oracle_fused_image(b, tau):
+    """two_direction_loss(it, i) is cl_loss's shape with fused rows as queries."""
+    value, terms = oracle_cl(b.fused.rows, b.images.rows, tau)
+    return value, {"it2i": terms["i2t"], "i2it": terms["t2i"]}
+
+
+def gcl_variant(name, mode, pair_set, drop=None):
+    masked = mode is MASKED
+    if drop is None:
+        normalization = None
+        loss = lambda b, tau: gcl_loss(b, LossConfig(tau=tau, pair_set=pair_set, denominator_mode=mode))
+    else:
+        normalization = 4
+        loss = lambda b, tau: gcl_loss_ablation(b, drop, LossConfig(tau=tau, denominator_mode=mode))
+
+    def oracle(b, tau):
+        norm = normalization * b.n if normalization else None
+        mats = (b.images.rows, b.texts.rows, b.fused.rows)
+        return oracle_gcl(*mats, pairs_as_codes(pair_set), tau, masked, norm)
+
+    return name, 3, loss, oracle
+
+
+def blocked_variants():
+    """(name, candidate modalities per group, loss(batch, tau), oracle(batch, tau)).
+
+    Every oracle returns (value, per_term) by plain enumeration."""
+    cl_cfg = lambda tau: LossConfig(tau=tau, pair_set=CL_PAIR_SET)
+    cl = lambda b, tau: cl_loss(b.images, b.texts, cl_cfg(tau))
+    imsep = lambda b, tau: intra_modality_separation_loss(b.images, b.texts, cl_cfg(tau))
+    fused_image = lambda b, tau: two_direction_loss(b, Modality.FUSED, Modality.IMAGE, tau)
+    variants = [
+        ("cl", 1, cl, lambda b, tau: oracle_cl(b.images.rows, b.texts.rows, tau)),
+        ("imsep", 1, imsep, oracle_imsep_terms),
+        ("it2i_both_ways", 1, fused_image, oracle_fused_image),
+    ]
+    for mode in (MASKED, LITERAL):
+        for pair_set in (FULL_PAIR_SET, FULL_PAIR_SET[:1], FULL_PAIR_SET[2:5]):
+            variants.append(gcl_variant(f"gcl_{mode.value}_{len(pair_set)}_pairs", mode, pair_set))
+        for drop, dropped in ABLATION_DROPS.items():
+            kept = tuple(p for p in FULL_PAIR_SET if p not in dropped)
+            variants.append(gcl_variant(f"ablation_{drop}_{mode.value}", mode, kept, drop))
+    return variants
+
+
+VARIANTS = blocked_variants()
+
+
+class TestBlockedKernel:
+    """The kernel walks query rows in blocks; these cases straddle block edges."""
+
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    @pytest.mark.parametrize("name, width, loss, oracle", VARIANTS, ids=[v[0] for v in VARIANTS])
+    def test_matches_oracle_across_block_edges(self, monkeypatch, n, name, width, loss, oracle):
+        rng = np.random.default_rng(100 + n)
+        batch = random_batch(rng, n, 3)
+        set_block_rows(monkeypatch, n, width)
+        out = loss(batch, 0.07)
+        want_value, want_terms = oracle(batch, 0.07)
+        assert abs(out.value - want_value) < 1e-12
+        assert set(out.per_term) == set(want_terms)
+        for key, value in want_terms.items():
+            assert abs(out.per_term[key] - value) < 1e-12
+
+    @pytest.mark.parametrize("name, width, loss, oracle", VARIANTS, ids=[v[0] for v in VARIANTS])
+    def test_directional_gradients_across_blocks(self, monkeypatch, name, width, loss, oracle):
+        """Central differences along random directions over all three matrices and tau."""
+        n, d, tau, eps = 2 * BLOCK + 1, 4, 0.07, 1e-6
+        rng = np.random.default_rng(200)
+        batch = random_batch(rng, n, d)
+        mats = (batch.images.rows, batch.texts.rows, batch.fused.rows)
+        set_block_rows(monkeypatch, n, width)
+        out = loss(batch, tau)
+        grads = (out.grads.images, out.grads.texts, out.grads.fused)
+        for _ in range(3):
+            direction = [rng.standard_normal((n, d)) for _ in range(3)] + [rng.standard_normal()]
+            norm = math.sqrt(sum(float(np.vdot(v, v)) for v in direction))
+            direction = [v / norm for v in direction]
+            analytic = sum(float(np.vdot(g, v)) for g, v in zip(grads, direction)) + out.grad_tau * direction[3]
+
+            def value_at(t):
+                moved = [m + t * v for m, v in zip(mats, direction)]
+                return loss(TripletBatch.from_rows(*moved, validate_norms=False), tau + t * direction[3]).value
+
+            numeric = (value_at(eps) - value_at(-eps)) / (2 * eps)
+            assert abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric)) < 1e-6
+
+    @pytest.mark.parametrize("name, width, loss, oracle", VARIANTS, ids=[v[0] for v in VARIANTS])
+    def test_default_budget_blocks_match_one_block(self, monkeypatch, name, width, loss, oracle):
+        """At N = 600 the default budget splits every group; one slab must agree."""
+        n = 600
+        assert losses._SLAB_BYTES // (8 * width * n) < n
+        batch = random_batch(np.random.default_rng(300), n, 4)
+        blocked = loss(batch, 0.07)
+        set_block_rows(monkeypatch, n, width, rows=n)
+        whole = loss(batch, 0.07)
+        assert abs(blocked.value - whole.value) < 1e-12
+        for key in whole.per_term:
+            assert abs(blocked.per_term[key] - whole.per_term[key]) < 1e-12
+        assert abs(blocked.grad_tau - whole.grad_tau) < 1e-12
+        for got, want in zip(
+            (blocked.grads.images, blocked.grads.texts, blocked.grads.fused),
+            (whole.grads.images, whole.grads.texts, whole.grads.fused),
+        ):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+    def test_reference_batch_is_one_block(self):
+        """N = 128 against all three modalities fits one slab."""
+        assert losses._SLAB_BYTES // (8 * 3 * 128) >= 128
