@@ -10,8 +10,6 @@ convention so the output is deterministic.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -137,22 +135,10 @@ class PcaProjection:
     modalities: list[Modality]
     explained_variance_ratio: np.ndarray  # (2,), non-increasing, sums to <= 1
 
-    def to_json_dict(self) -> dict:
-        return {
-            "components": self.components.tolist(),
-            "projected": self.projected.tolist(),
-            "modalities": [m.value for m in self.modalities],
-            "explained_variance_ratio": self.explained_variance_ratio.tolist(),
-        }
-
     def to_csv(self) -> str:
         """One row per sample: x, y, modality."""
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["x", "y", "modality"])
-        for (x, y), modality in zip(self.projected, self.modalities):
-            writer.writerow([f"{x:.12g}", f"{y:.12g}", modality.value])
-        return buffer.getvalue()
+        rows = zip(self.projected.tolist(), self.modalities)
+        return "x,y,modality\n" + "".join([f"{x:.12g},{y:.12g},{m.value}\n" for (x, y), m in rows])
 
 
 def pca_2d(

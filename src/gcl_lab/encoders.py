@@ -46,10 +46,6 @@ class LinearEncoder:
         }
         return cls(cfg, params)
 
-    @property
-    def param_count(self) -> int:
-        return sum(p.size for p in self.params.values())
-
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
         if x.ndim != 2 or x.shape[1] != self.cfg.d_in:
             raise ShapeMismatchError(f"expected (N, {self.cfg.d_in}) inputs, got {x.shape}")
@@ -83,10 +79,6 @@ class MlpEncoder:
             "b2": np.zeros(cfg.d_out),
         }
         return cls(cfg, params)
-
-    @property
-    def param_count(self) -> int:
-        return sum(p.size for p in self.params.values())
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
         if x.ndim != 2 or x.shape[1] != self.cfg.d_in:

@@ -18,12 +18,11 @@ Reported cosines are per-pair dot products, bit-identical to ``candidate @ query
 
 from __future__ import annotations
 
-import csv
-import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,8 +44,7 @@ class PoolSetting(Enum):
     LOCAL = "local"
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     """One retrievable item: id, unit-norm embedding, modality, and the
     candidate bank it came from."""
 
@@ -56,8 +54,7 @@ class Candidate:
     source_task: str = ""
 
 
-@dataclass(frozen=True)
-class Query:
+class Query(NamedTuple):
     id: int
     embedding: np.ndarray
     modality: Modality
@@ -70,15 +67,20 @@ class RetrievalPool:
         candidates = list(candidates)
         if not candidates:
             raise EmptyPoolError("pool needs at least one candidate")
-        ids = np.array([c.id for c in candidates], dtype=np.int64)
+        ids, embeddings, modalities, tasks = zip(*candidates)
+        ids = np.array(ids, dtype=np.int64)
         unique, counts = np.unique(ids, return_counts=True)
         if counts.max() > 1:
             raise DuplicateIdError(f"candidate id {unique[counts > 1][0]} appears more than once")
-        dims = {c.embedding.shape for c in candidates}
-        if len(dims) != 1 or candidates[0].embedding.ndim != 1:
-            raise ShapeMismatchError(f"candidate embeddings must share one 1-D shape, got {sorted(dims)}")
+        try:
+            matrix = np.stack(embeddings).astype(np.float64, copy=False)
+        except ValueError:
+            matrix = None
+        if matrix is None or matrix.ndim != 2:
+            dims = sorted({np.shape(e) for e in embeddings})
+            raise ShapeMismatchError(f"candidate embeddings must share one 1-D shape, got {dims}")
         if setting is PoolSetting.LOCAL:
-            combos = {(c.modality, c.source_task) for c in candidates}
+            combos = set(zip(modalities, tasks))
             if len(combos) != 1:
                 raise ConfigError(
                     f"local pools hold exactly one (modality, task) bank, got {len(combos)}"
@@ -86,7 +88,7 @@ class RetrievalPool:
         self.candidates = candidates
         self.setting = setting
         self.ids = ids
-        self.matrix = np.stack([np.asarray(c.embedding, dtype=np.float64) for c in candidates])
+        self.matrix = matrix
 
     @property
     def size(self) -> int:
@@ -95,10 +97,12 @@ class RetrievalPool:
 
 @dataclass(frozen=True)
 class QuerySet:
-    """Queries plus their ground-truth candidate ids."""
+    """Queries plus their ground-truth candidate ids. ``rows`` stacks the query
+    embeddings unless given; query sets over the same queries may share it."""
 
     queries: list[Query]
     ground_truth: dict[int, set[int]]
+    rows: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.queries:
@@ -107,28 +111,36 @@ class QuerySet:
             gt = self.ground_truth.get(q.id)
             if not gt:
                 raise ConfigError(f"query {q.id} has no ground-truth candidates")
+        if self.rows is None:
+            object.__setattr__(self, "rows", np.stack([np.asarray(q.embedding, dtype=np.float64) for q in self.queries]))
+        elif self.rows.shape[0] != len(self.queries):
+            raise ShapeMismatchError(f"{self.rows.shape[0]} query rows for {len(self.queries)} queries")
 
     @cached_property
-    def rows(self) -> np.ndarray:
-        """The query embeddings as one float64 matrix, stacked on first use."""
-        return np.stack([np.asarray(q.embedding, dtype=np.float64) for q in self.queries])
+    def _truth(self) -> tuple[list[int], np.ndarray, np.ndarray]:
+        """Query ids, then the ground-truth ids flattened in query order and
+        where each query's ids start (then the end)."""
+        ids = [q.id for q in self.queries]
+        truth = [self.ground_truth[i] for i in ids]
+        counts = np.fromiter(map(len, truth), np.intp, len(truth))
+        gt_ids = np.fromiter(chain.from_iterable(truth), np.int64, counts.sum())
+        return ids, gt_ids, np.concatenate(([0], np.cumsum(counts)))
 
 
 def _ground_truth_columns(queries: QuerySet, pool: RetrievalPool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The queries' ground truth flattened in query order: each entry's query
     row and pool column, and where each query's entries start (then the end).
     """
-    truth = [sorted(queries.ground_truth[q.id]) for q in queries.queries]
-    gt_ids = np.array([g for t in truth for g in t], dtype=np.int64)
-    gt_rows = np.repeat(np.arange(len(truth)), [len(t) for t in truth])
+    ids, gt_ids, starts = queries._truth
+    gt_rows = np.repeat(np.arange(len(ids)), np.diff(starts))
     by_id = np.argsort(pool.ids)  # the id -> column map
     columns = by_id[np.searchsorted(pool.ids, gt_ids, sorter=by_id).clip(max=pool.size - 1)]
     missing = pool.ids[columns] != gt_ids
     if missing.any():
         row = gt_rows[missing][0]
-        absent = gt_ids[missing & (gt_rows == row)].tolist()
-        raise ConfigError(f"ground-truth ids {absent} for query {queries.queries[row].id} not in pool")
-    return gt_rows, columns, np.searchsorted(gt_rows, np.arange(len(truth) + 1))
+        absent = sorted(gt_ids[missing & (gt_rows == row)].tolist())
+        raise ConfigError(f"ground-truth ids {absent} for query {ids[row]} not in pool")
+    return gt_rows, columns, starts
 
 
 def _score_blocks(rows: np.ndarray, pool: RetrievalPool):
@@ -149,19 +161,21 @@ def _ranks(queries: QuerySet, pool: RetrievalPool, gt) -> np.ndarray:
     over the query's scores, which equals g's place in the sorted order.
     """
     gt_rows, columns, starts = gt
+    single = len(columns) == len(queries.queries)  # every query has one ground truth
     ranks = np.empty(len(queries.queries), dtype=np.int64)
     for start, scores in _score_blocks(queries.rows, pool):
         stop = start + len(scores)
         entries = slice(starts[start], starts[stop])
         cols = columns[entries]
-        s = scores[gt_rows[entries] - start]
+        s = scores if single else scores[gt_rows[entries] - start]
         s_gt = s[np.arange(len(cols)), cols][:, None]
-        before = np.count_nonzero(s > s_gt, axis=1)
+        before = np.add.reduce(s > s_gt, axis=1, dtype=np.intp)
+        equal = s == s_gt
         # the id term counts only where another candidate scores exactly s_g
-        tied = np.flatnonzero(np.count_nonzero(s >= s_gt, axis=1) - before > 1)
-        tie = (s[tied] == s_gt[tied]) & (pool.ids < pool.ids[cols[tied], None])
-        before[tied] += np.count_nonzero(tie, axis=1)
-        ranks[start:stop] = np.minimum.reduceat(1 + before, starts[start:stop] - starts[start])
+        if np.count_nonzero(equal) > len(cols):
+            tied = np.flatnonzero(np.add.reduce(equal, axis=1, dtype=np.intp) > 1)
+            before[tied] += np.count_nonzero(equal[tied] & (pool.ids < pool.ids[cols[tied], None]), axis=1)
+        ranks[start:stop] = 1 + (before if single else np.minimum.reduceat(before, starts[start:stop] - starts[start]))
     return ranks
 
 
@@ -225,12 +239,20 @@ def _gt_cosines(queries: QuerySet, pool: RetrievalPool, gt) -> list[float]:
 
 def _heads(scores: np.ndarray, ids: np.ndarray, max_rank: int) -> np.ndarray:
     """Pool columns of each row's max_rank best scores, best first, ties by ascending id."""
-    heads = np.argpartition(-scores, max_rank - 1, axis=1)[:, :max_rank]
-    head_scores = np.take_along_axis(scores, heads, axis=1)
-    heads = np.take_along_axis(heads, np.lexsort((ids[heads], -head_scores), axis=1), axis=1)
-    # argpartition picks among scores equal to the cut without regard to id
-    cut = head_scores.min(axis=1, keepdims=True)
-    for i in np.flatnonzero(np.count_nonzero(scores >= cut, axis=1) > max_rank):
+    n = scores.shape[1]
+    rows = np.arange(len(scores))[:, None]
+    if max_rank == n:
+        heads, outside = np.broadcast_to(np.arange(n), scores.shape), np.nan
+    else:  # one partition: the head is every column above the (max_rank+1)-th best score
+        part = np.argpartition(scores, n - max_rank - 1, axis=1)
+        heads, outside = part[:, n - max_rank :], scores[rows[:, 0], part[:, n - max_rank - 1]]
+    order = np.argsort(-scores[rows, heads], axis=1)
+    heads = heads[rows, order]
+    head_scores = scores[rows, heads]
+    # neither the partition nor the sort looks at ids: a row with a tie inside
+    # its head or across the cut takes the full (score, id) order
+    tied = (head_scores[:, 1:] == head_scores[:, :-1]).any(axis=1) | (head_scores[:, -1] == outside)
+    for i in np.flatnonzero(tied):
         heads[i] = np.lexsort((ids, -scores[i]))[:max_rank]
     return heads
 
@@ -285,13 +307,14 @@ class RetrievalReport:
         return d
 
     def to_csv(self) -> str:
-        """One row per query: id, best GT rank, GT cosine, hit@K flags."""
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["query_id", "best_gt_rank", "gt_cosine"] + [f"hit@{k}" for k in self.k_values])
-        for qid, rank, cos in zip(self.query_ids, self.ranks, self.gt_cosines):
-            writer.writerow([qid, rank, f"{cos:.8f}"] + [int(rank <= k) for k in self.k_values])
-        return buffer.getvalue()
+        """One row per query: id, best GT rank, GT cosine, hit@K flags (k_values
+        ascending, as build_report gives them)."""
+        header = ",".join(["query_id", "best_gt_rank", "gt_cosine"] + [f"hit@{k}" for k in self.k_values])
+        # a rank misses the m smallest K below it, so its flags are m zeros, then ones
+        flags = [",0" * m + ",1" * (len(self.k_values) - m) for m in range(len(self.k_values) + 1)]
+        misses = np.searchsorted(self.k_values, self.ranks).tolist()
+        rows = zip(self.query_ids, self.ranks, self.gt_cosines, misses)
+        return header + "\n" + "".join([f"{qid},{rank},{cos:.8f}{flags[m]}\n" for qid, rank, cos, m in rows])
 
 
 def build_report(
@@ -310,11 +333,11 @@ def build_report(
     report = RetrievalReport(
         setting=pool.setting.value,
         k_values=list(k_values),
-        recall_at={k: np.count_nonzero(ranks <= k) / len(ranks) for k in k_values},
+        recall_at={k: int(np.count_nonzero(ranks <= k)) / len(ranks) for k in k_values},
         rank_histogram=_histogram(ranks, pool.size),
         ranks=ranks.tolist(),
         gt_cosines=_gt_cosines(queries, pool, gt),
-        query_ids=[q.id for q in queries.queries],
+        query_ids=queries._truth[0],
         rank_cap=rank_cap,
     )
     if rank_cap is not None:

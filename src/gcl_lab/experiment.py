@@ -32,6 +32,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -296,9 +297,25 @@ class ExperimentPaths:
         return self.root / "ablation.csv"
 
 
+def _json_text(value, pad: str = "") -> str:
+    """json.dumps(value, indent=2, sort_keys=True) nested at indent pad, with
+    each flat list of numbers encoded by the C encoder and then re-indented."""
+    inner = pad + "  "
+    if type(value) is dict and value and all(type(k) is str for k in value):
+        items = (f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items()))
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if type(value) is list and value and type(value[0]) in (int, float):
+        flat = json.dumps(value)
+        if '"' not in flat and "[" not in flat[1:] and "{" not in flat:  # no strings or containers
+            return "[\n" + inner + flat[1:-1].replace(", ", ",\n" + inner) + "\n" + pad + "]"
+    if not isinstance(value, (dict, list, tuple)):
+        return json.dumps(value)
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+
+
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(_json_text(payload) + "\n")
 
 
 def _read_json(path: Path, what: str) -> dict:
@@ -467,29 +484,27 @@ def _candidate_banks(candidate_rows: dict[Modality, np.ndarray]) -> dict[Modalit
     banks: dict[Modality, list[Candidate]] = {}
     for bank_index, modality in enumerate(MODALITIES):
         rows = candidate_rows[modality]
-        banks[modality] = [
-            Candidate(
-                id=3 * concept + bank_index,
-                embedding=rows[concept],
-                modality=modality,
-                source_task=f"c_{modality.code}",
-            )
-            for concept in range(rows.shape[0])
-        ]
+        ids = range(bank_index, 3 * rows.shape[0], 3)  # 3 * concept + bank index
+        banks[modality] = list(map(Candidate, ids, rows, repeat(modality), repeat(f"c_{modality.code}")))
     return banks
+
+
+def _query_sets(query_rows: dict[Modality, np.ndarray], query_modality: Modality) -> dict[Modality, QuerySet]:
+    """The three tasks of one query modality, by candidate modality: one query
+    list and row matrix, each task's ground truth in its own bank."""
+    rows = query_rows[query_modality]
+    concepts = range(rows.shape[0])
+    queries = list(map(Query, concepts, rows, repeat(query_modality)))
+    return {
+        modality: QuerySet(queries, {c: {3 * c + bank_index} for c in concepts}, rows)
+        for bank_index, modality in enumerate(MODALITIES)
+    }
 
 
 def _query_set_for_task(
     query_rows: dict[Modality, np.ndarray], query_modality: Modality, cand_modality: Modality
 ) -> QuerySet:
-    rows = query_rows[query_modality]
-    bank_index = MODALITIES.index(cand_modality)
-    queries = [
-        Query(id=concept, embedding=rows[concept], modality=query_modality)
-        for concept in range(rows.shape[0])
-    ]
-    ground_truth = {concept: {3 * concept + bank_index} for concept in range(rows.shape[0])}
-    return QuerySet(queries=queries, ground_truth=ground_truth)
+    return _query_sets(query_rows, query_modality)[cand_modality]
 
 
 @dataclass
@@ -550,10 +565,11 @@ def compute_run_report(cfg: ExperimentConfig, paths: ExperimentPaths) -> RunRepo
         return [float(v) for v in cosine_by_rank(queries, pool, max(k for k in k_values if k <= pool.size))]
 
     for query_modality in MODALITIES:
+        task_queries = _query_sets(query_rows, query_modality)
         global_curve = None  # a curve does not depend on the ground truth: one per query modality
         for cand_modality in MODALITIES:
             task = f"q_{query_modality.code}->c_{cand_modality.code}"
-            queries = _query_set_for_task(query_rows, query_modality, cand_modality)
+            queries = task_queries[cand_modality]
             local_pool = local_pools[cand_modality]
             tasks[task] = {}
             for setting, pool in (("global", global_pool), ("local", local_pool)):
@@ -611,7 +627,7 @@ def cmd_verify(cfg: ExperimentConfig, paths: ExperimentPaths | None = None) -> d
     if not paths.report.exists():
         raise ConfigError(f"report {paths.report} does not exist; run the eval command first")
     stored = _read_json(paths.report, "report")
-    recomputed = json.loads(json.dumps(compute_run_report(cfg, paths).to_json_dict()))
+    recomputed = compute_run_report(cfg, paths).to_json_dict()  # JSON-native, so no round trip
     if stored == recomputed:
         return {"ok": True, "config_hash": recomputed["config_hash"]}
     diffs = _first_differences(stored, recomputed, path="report")

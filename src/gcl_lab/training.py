@@ -46,7 +46,6 @@ from .losses import (
     gcl_loss_ablation,
     intra_modality_separation_loss,
     pair_name,
-    parse_pair,
     two_direction_loss,
 )
 from .optim import OptimizerState, ScheduleConfig, adamw_step, lr_at
@@ -141,27 +140,6 @@ class TrainConfig:
             "triplet_weight": self.triplet_weight,
         }
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        from .losses import DenominatorMode
-
-        loss_d = d.get("loss", {})
-        loss = LossConfig(
-            tau=loss_d.get("tau", 0.07),
-            pair_set=tuple(parse_pair(n) for n in loss_d["pair_set"])
-            if "pair_set" in loss_d
-            else LossConfig().pair_set,
-            denominator_mode=DenominatorMode(loss_d.get("denominator_mode", "algorithm_masked")),
-            normalization=loss_d.get("normalization"),
-        )
-        encoder = EncoderConfig(**d.get("encoder", {}))
-        plain = {
-            k: v
-            for k, v in d.items()
-            if k not in ("loss", "encoder")
-        }
-        return cls(loss=loss, encoder=encoder, **plain)
 
 
 def config_hash(config: TrainConfig) -> str:
@@ -537,13 +515,14 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             raise FormatError(f"array name is not UTF-8: {exc.reason}", offset=offset + exc.start) from exc
         offset += name_len
         (ndim,) = struct.unpack_from("<B", blob, offset)
+        if ndim > 64:  # numpy's limit on array dimensions
+            raise FormatError(f"array {name!r} has {ndim} dimensions, at most 64 are supported", offset=offset)
         offset += 1
         if offset + 4 * ndim > len(blob):
             raise FormatError(f"truncated shape for array {name!r}", offset=offset)
-        shape = struct.unpack_from(f"<{ndim}I", blob, offset) if ndim else ()
+        shape = struct.unpack_from(f"<{ndim}I", blob, offset)
         offset += 4 * ndim
-        count = int(np.prod(shape)) if ndim else 1
-        nbytes = 8 * count
+        nbytes = 8 * math.prod(shape)  # Python ints: a product of large dims cannot wrap
         if offset + nbytes > len(blob):
             raise FormatError(f"truncated data for array {name!r}", offset=offset)
         arr = np.frombuffer(blob[offset : offset + nbytes], dtype="<f8").reshape(shape).copy()

@@ -12,6 +12,8 @@ import pytest
 
 from gcl_lab.cli import _THREAD_ENV_VARS, build_parser, main
 
+from test_training import checkpoint_with_shape
+
 TINY = {
     "data": {"n_pairs": 96, "eval_pairs": 32, "d_in": 8, "k": 4, "sigma": 0.1},
     "train": {"d_out": 6, "batch_size": 32, "epochs": 2, "warmup_steps": 4},
@@ -63,6 +65,16 @@ class TestExitCodes:
         report.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         assert run_cli("verify", "--config", str(tiny_cfg)) == 1
         assert "does not match recomputation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dims, message", [((0,) * 70, "70 dimensions"), ((65536,) * 4, "truncated data")])
+    def test_checkpoint_with_impossible_shape_exits_one(self, tiny_cfg, tmp_path, capsys, dims, message):
+        for command in ("generate", "train"):
+            assert run_cli(command, "--config", str(tiny_cfg)) == 0
+        checkpoint = tmp_path / "run" / "checkpoint.gclc"
+        checkpoint.write_bytes(checkpoint_with_shape(dims, header=checkpoint.read_bytes()))
+        assert run_cli("eval", "--config", str(tiny_cfg)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err and "byte offset" in err
 
     def test_threads_below_one_exits_two(self, tiny_cfg, capsys):
         assert run_cli("generate", "--config", str(tiny_cfg), "--threads", "0") == 2

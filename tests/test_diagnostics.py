@@ -227,14 +227,11 @@ class TestPca:
         assert lines[1].endswith(",image")
         assert lines[-1].endswith(",fused")
 
-    def test_json_round_trip(self):
-        import json
-
+    def test_pair_input_keeps_tags_and_shapes(self):
         rng = np.random.default_rng(10)
         proj = pca_2d(tagged(rng.standard_normal((10, 3))))
-        parsed = json.loads(json.dumps(proj.to_json_dict()))
-        assert parsed["modalities"] == ["image"] * 10
-        np.testing.assert_allclose(parsed["components"], proj.components)
+        assert proj.modalities == [Modality.IMAGE] * 10
+        assert proj.components.shape == (2, 3) and proj.projected.shape == (10, 2)
 
     def test_gap_visible_in_projection(self):
         # Three well-separated modality clusters stay separated after the

@@ -1,5 +1,8 @@
 """Retrieval metric tests against a brute-force sort oracle."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -442,3 +445,84 @@ class TestBenchmarkScaleAnalog:
         for q, rank in list(zip(queries.queries, report.ranks))[:5]:
             order = oracle_ranking(q.embedding, pool.candidates)
             assert rank == min(order.index(g) + 1 for g in queries.ground_truth[q.id])
+
+
+def oracle_heads(scores, ids, max_rank):
+    """Each row's first max_rank candidate ids by (descending score, ascending id)."""
+    return [[cid for _, cid in sorted(zip((-row).tolist(), ids.tolist()))][:max_rank] for row in scores]
+
+
+def tied_candidates(rng, n, ids):
+    """Candidates drawn from three directions, so many score exactly alike."""
+    directions = unit_rows(rng, 3, 4)
+    return [
+        Candidate(id=int(cid), embedding=directions[rng.integers(3)], modality=Modality.IMAGE)
+        for cid in ids[:n]
+    ]
+
+
+class TestTiePaths:
+    """Each place where ids, not scores, decide an order, against brute force."""
+
+    def test_tie_exactly_at_head_boundary(self):
+        # The 4th and 5th best scores are equal and no other scores tie, so only
+        # the cut's tie-break can say which of the two ids is in the top 4.
+        rng = np.random.default_rng(21)
+        base = np.array([0.9, 0.8, 0.7, 0.5, 0.5, 0.3, 0.2, 0.1, 0.0])
+        scores = np.stack([rng.permutation(base) for _ in range(40)])
+        for trial in range(10):
+            ids = rng.choice(100, size=len(base), replace=False)
+            heads = evaluation._heads(scores, ids, 4)
+            assert ids[heads].tolist() == oracle_heads(scores, ids, 4), trial
+
+    def test_pool_size_equals_max_rank(self):
+        rng = np.random.default_rng(22)
+        for seed in range(20):
+            n = int(rng.integers(1, 12))
+            ids = rng.choice(50, size=n, replace=False)
+            scores = rng.integers(0, 3, size=(7, n)) / 2.0  # heavy ties
+            assert ids[evaluation._heads(scores, ids, n)].tolist() == oracle_heads(scores, ids, n)
+            pool = build_global_pool([tied_candidates(rng, n, ids)])
+            queries = make_query_set(rng, pool, 70, 4)
+            assert np.array_equal(cosine_by_rank(queries, pool, n), oracle_curve(queries, pool, n))
+            assert np.array_equal(cosine_by_rank(queries, pool, n - 1 or 1), oracle_curve(queries, pool, n - 1 or 1))
+
+    @pytest.mark.parametrize("gt_per_query", [1, 2, 3])
+    def test_tied_ground_truth_score(self, gt_per_query):
+        # Ground truth shares its score with candidates of lower and higher ids,
+        # in the one-ground-truth path and the several-ground-truth path; 70
+        # queries span two score blocks.
+        rng = np.random.default_rng(23 + gt_per_query)
+        for trial in range(10):
+            ids = rng.choice(200, size=30, replace=False)
+            pool = build_global_pool([tied_candidates(rng, 30, ids)])
+            directions = unit_rows(rng, 2, 4)
+            queries, gt = [], {}
+            for i in range(70):
+                queries.append(Query(id=i, embedding=directions[i % 2], modality=Modality.TEXT))
+                gt[i] = set(rng.choice(ids, size=gt_per_query, replace=False).tolist())
+            query_set = QuerySet(queries=queries, ground_truth=gt)
+            ranks, _ = rank_of_ground_truth(query_set, pool)
+            for q, rank in zip(queries, ranks):
+                order = oracle_ranking(q.embedding, pool.candidates)
+                assert rank == min(order.index(g) + 1 for g in gt[q.id]), (trial, q.id)
+
+
+def csv_module_table(report):
+    """The per-query table as the csv module writes it."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["query_id", "best_gt_rank", "gt_cosine"] + [f"hit@{k}" for k in report.k_values])
+    for qid, rank, cos in zip(report.query_ids, report.ranks, report.gt_cosines):
+        writer.writerow([qid, rank, f"{cos:.8f}"] + [int(rank <= k) for k in report.k_values])
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("rank_cap", [None, 3])
+@pytest.mark.parametrize("k_values", [[1, 5, 10], [4], [1, 2, 3, 40]])
+def test_csv_matches_csv_module(rank_cap, k_values):
+    rng = np.random.default_rng(31)
+    pool = RetrievalPool(make_candidates(rng, 40, 5), PoolSetting.GLOBAL)
+    queries = make_query_set(rng, pool, 90, 5, gt_per_query=2)
+    report = build_report(queries, pool, k_values=k_values, rank_cap=rank_cap)
+    assert report.to_csv() == csv_module_table(report)

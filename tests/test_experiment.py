@@ -5,6 +5,8 @@ two epochs) so the whole module stays fast; correctness of the underlying
 math is covered by the per-module suites.
 """
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -22,6 +24,7 @@ from gcl_lab.experiment import (
     ExperimentPaths,
     _candidate_banks,
     _encode_eval_views,
+    _json_text,
     _query_set_for_task,
     cmd_ablate,
     cmd_eval,
@@ -249,6 +252,60 @@ class TestPipeline:
                     assert np.array_equal(curves[task][setting], direct), (task, setting)
 
 
+def json_native(value) -> bool:
+    """Whether value is already what json.loads would return: str-keyed dicts,
+    lists, str, bool, None, and Python ints and non-NaN floats."""
+    if type(value) is dict:
+        return all(type(k) is str and json_native(v) for k, v in value.items())
+    if type(value) is list:
+        return all(json_native(v) for v in value)
+    if type(value) is float:
+        return value == value
+    return value is None or type(value) in (str, bool, int)
+
+
+class TestWriters:
+    EDGE_PAYLOADS = [
+        {},
+        [],
+        {"a": [], "b": {}, "c": [[]], "d": [{}]},
+        {"components": [[0.1, -0.0, 2e-300], [1.5e300, 3.0, -4.25]]},
+        {"x": -0.0, "big": 10**30, "neg": -(2**70)},
+        {"mixed": [1, "a, b", 2.5, None, True, [1, [2, 3]], {"z": [1, "y"]}, -0.0]},
+        {"\u00e9t\u00e9": [1, 2], "k\u00fc": {"\u2603": "\u00fc, \"q\""}},
+        {"nan": [float("nan"), float("inf"), -float("inf")]},
+        {"t": (1, 2), "u": [(3, 4)]},
+        {5: "int keys", 7: [1.5]},
+        [1, 2, 3],
+        "top-level string",
+    ]
+
+    def test_json_writer_matches_json_dumps(self, finished_run):
+        cfg, paths = finished_run
+        report = compute_run_report(cfg, paths).to_json_dict()
+        for payload in [report, json.loads(paths.report.read_text()), *self.EDGE_PAYLOADS]:
+            assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+        assert paths.report.read_text() == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+    def test_report_dict_is_json_native(self, finished_run):
+        # cmd_verify compares it with the parsed report without a JSON round trip
+        cfg, paths = finished_run
+        payload = compute_run_report(cfg, paths).to_json_dict()
+        assert json_native(payload)
+        assert payload == json.loads(paths.report.read_text())
+
+    def test_pca_csv_matches_csv_module(self, finished_run):
+        cfg, paths = finished_run
+        pca = compute_run_report(cfg, paths).pca
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(["x", "y", "modality"])
+        for (x, y), modality in zip(pca.projected, pca.modalities):
+            writer.writerow([f"{x:.12g}", f"{y:.12g}", modality.value])
+        assert pca.to_csv() == buffer.getvalue()
+        assert (paths.csv_dir / "pca_projection.csv").read_text() == buffer.getvalue()
+
+
 class TestPipelineErrors:
     def test_train_before_generate_fails(self, tmp_path):
         cfg = tiny_config(tmp_path / "run")
@@ -279,6 +336,24 @@ class TestPipelineErrors:
         paths.report.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         with pytest.raises(FormatError, match="does not match recomputation"):
             cmd_verify(cfg, paths)
+
+    def test_verify_flags_one_ulp_and_a_dropped_key(self, finished_run, tmp_path):
+        cfg, paths = finished_run
+        original = paths.report.read_bytes()
+        payload = json.loads(original)
+        task = payload["tasks"][TASKS[4]]["local"]
+        try:
+            task["gt_cosines"][3] = float(np.nextafter(task["gt_cosines"][3], 2.0))
+            paths.report.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            with pytest.raises(FormatError, match=r"gt_cosines\[3\]: stored"):
+                cmd_verify(cfg, paths)
+            payload = json.loads(original)
+            del payload["pca"]["explained_variance_ratio"]
+            paths.report.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            with pytest.raises(FormatError, match="explained_variance_ratio present on one side only"):
+                cmd_verify(cfg, paths)
+        finally:
+            paths.report.write_bytes(original)
 
     def test_verify_rejects_truncated_report(self, tmp_path):
         cfg = tiny_config(tmp_path / "run")

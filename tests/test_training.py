@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -154,12 +156,12 @@ class TestEncoders:
         x = normalize_rows(np.random.default_rng(1).standard_normal((5, 4)))[0]
         np.testing.assert_allclose(enc.encode(x), x, atol=1e-12)
 
-    def test_param_count(self):
-        assert build_encoder(EncoderConfig(32, 16), np.random.default_rng(0)).param_count == 32 * 16 + 16
-        assert (
-            build_encoder(EncoderConfig(32, 16, hidden=64), np.random.default_rng(0)).param_count
-            == 64 * 32 + 64 + 16 * 64 + 16
-        )
+    def test_parameter_shapes(self):
+        def shapes(cfg):
+            return {k: v.shape for k, v in build_encoder(cfg, np.random.default_rng(0)).params.items()}
+
+        assert shapes(EncoderConfig(32, 16)) == {"W": (16, 32), "b": (16,)}
+        assert shapes(EncoderConfig(32, 16, hidden=64)) == {"W1": (64, 32), "b1": (64,), "W2": (16, 64), "b2": (16,)}
 
     @pytest.mark.parametrize("hidden", [None, 6])
     def test_backward_matches_finite_differences(self, hidden):
@@ -490,9 +492,20 @@ class TestVariantParsing:
         assert config_hash(a) != config_hash(c)
         assert len(config_hash(a)) == 64
 
-    def test_config_dict_round_trip(self):
+    def test_config_dict_covers_every_field(self):
+        # config_hash hashes to_dict, so every field must reach it as plain JSON
         config = small_config(variant="gcl_ablation:it_query", learnable_tau=True)
-        assert TrainConfig.from_dict(config.to_dict()) == config
+        d = config.to_dict()
+        assert set(d) == {f.name for f in dataclasses.fields(TrainConfig)}
+        assert json.loads(json.dumps(d)) == d
+        assert d["variant"] == "gcl_ablation:it_query" and d["learnable_tau"] is True
+
+
+def checkpoint_with_shape(dims, header: bytes | None = None) -> bytes:
+    """A GCLC file holding one array named W of the given dims and no data."""
+    header = header or training._CKPT_HEADER.pack(training.CHECKPOINT_MAGIC, training.CHECKPOINT_VERSION, bytes(32), 0, 0, 1)
+    header = header[: training._CKPT_HEADER.size - 4] + struct.pack("<I", 1)
+    return header + struct.pack("<H", 1) + b"W" + struct.pack(f"<B{len(dims)}I", len(dims), *dims)
 
 
 class TestCheckpointFormat:
@@ -557,6 +570,15 @@ class TestCheckpointFormat:
         with pytest.raises(FormatError, match="array name is not UTF-8") as exc_info:
             load_checkpoint(path)
         assert exc_info.value.offset > 56
+
+    @pytest.mark.parametrize("dims", [(0,) * 70, (65536,) * 4])
+    def test_impossible_shape_raises_format_error(self, tmp_path, dims):
+        # ndim above numpy's limit of 64, and dims whose int64 product wraps to 0
+        path = tmp_path / "model.gclc"
+        path.write_bytes(checkpoint_with_shape(dims))
+        with pytest.raises(FormatError) as exc_info:
+            load_checkpoint(path)
+        assert exc_info.value.offset >= training._CKPT_HEADER.size
 
     def test_truncation_detected(self, tmp_path):
         pairs = small_dataset()
