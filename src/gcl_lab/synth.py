@@ -41,6 +41,7 @@ FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sHIIIfQ")
 
 SPLITS = ("train", "eval")
+_CONCEPT_BLOCK = 4096  # concepts whose projected latents generate_dataset holds at once
 
 
 def record_dtype(d_in: int) -> np.dtype:
@@ -129,15 +130,18 @@ def generate_dataset(
     else:
         a_img, a_txt = modality_projections(k, d_in, effective_projection)
 
+    # Records first: every working array after them is smaller, so a repeated call asks for the largest first.
+    pairs = np.recarray(n_pairs, dtype=record_dtype(d_in))
     n_concepts = n_pairs // duplication
     z = rng.standard_normal((n_concepts, k, 1))
     z /= np.sqrt(z.transpose(0, 2, 1) @ z)
     # axes: concept, view of the concept, modality (image, text), feature
     x = rng.standard_normal((n_concepts, duplication, 2, d_in))
     x *= sigma32
-    x[:, :, 0] += (a_img @ z)[:, None, :, 0]
-    x[:, :, 1] += (a_txt @ z)[:, None, :, 0]
-    pairs = np.recarray(n_pairs, dtype=record_dtype(d_in))
+    for start in range(0, n_concepts, _CONCEPT_BLOCK):  # one product per concept, so blocking keeps the bits
+        block = slice(start, start + _CONCEPT_BLOCK)
+        x[block, :, 0] += (a_img @ z[block])[:, None, :, 0]
+        x[block, :, 1] += (a_txt @ z[block])[:, None, :, 0]
     pairs.concept_id = np.arange(n_pairs) // duplication
     pairs.x_img = x[:, :, 0].reshape(n_pairs, d_in)
     pairs.x_txt = x[:, :, 1].reshape(n_pairs, d_in)
@@ -187,7 +191,7 @@ def write_dataset(pairs: np.ndarray, manifest: DatasetManifest, path: str | Path
                 manifest.seed,
             )
         )
-        fh.write(pairs.tobytes())
+        pairs.tofile(fh)  # the records' own bytes, without a copy
     sidecar = {"format": "gcld-manifest", "version": FORMAT_VERSION, **asdict(manifest)}
     _sidecar_path(path).write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
 

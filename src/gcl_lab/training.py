@@ -250,11 +250,10 @@ def train(
     reproduces the uninterrupted run bit for bit.
     """
     kind, drop = parse_variant(config.variant)
-    _, x_img_all, x_txt_all = dataset_to_arrays(pairs)
-    if x_img_all.shape[1] != config.encoder.d_in:
-        raise ShapeMismatchError(
-            f"dataset d_in={x_img_all.shape[1]} but encoder expects {config.encoder.d_in}"
-        )
+    records = pairs.view(np.ndarray)  # batches are widened to float64 as drawn, not the whole dataset
+    d_in = records.dtype["x_img"].shape[0]
+    if d_in != config.encoder.d_in:
+        raise ShapeMismatchError(f"dataset d_in={d_in} but encoder expects {config.encoder.d_in}")
     n_total = len(pairs)
     steps_per_epoch = n_total // config.batch_size
     if steps_per_epoch == 0:
@@ -270,7 +269,6 @@ def train(
     if use_mixed:
         if second_pairs is None:
             raise ConfigError("variant gcl_plus_triplet with triplet_weight > 0 needs second_pairs")
-        _, x2_img_all, x2_txt_all = dataset_to_arrays(second_pairs)
         if len(second_pairs) < config.batch_size:
             raise ConfigError("second dataset must contain at least one full batch")
 
@@ -345,8 +343,9 @@ def train(
             if loss_cfg.tau != tau_now:  # only a learnable tau moves; rebuilding re-validates
                 loss_cfg = replace(loss_cfg, tau=tau_now)
 
-            e_i, cache_i = image_encoder.forward(x_img_all[idx])
-            e_t, cache_t = text_encoder.forward(x_txt_all[idx])
+            _, x_img, x_txt = dataset_to_arrays(records[idx])
+            e_i, cache_i = image_encoder.forward(x_img)
+            e_t, cache_t = text_encoder.forward(x_txt)
             fused = fuse_sum_rows(e_i, e_t, renormalize=config.renormalize_fusion)
             batch = TripletBatch.from_rows(e_i, e_t, fused, validate_norms=False)
             out = _loss_for_variant(kind, drop, batch, loss_cfg)
@@ -374,8 +373,9 @@ def train(
 
             if use_mixed:
                 idx2 = order2[(b % steps2) * config.batch_size : (b % steps2 + 1) * config.batch_size]
-                e2_i, cache2_i = image_encoder.forward(x2_img_all[idx2])
-                e2_t, cache2_t = text_encoder.forward(x2_txt_all[idx2])
+                _, x2_img, x2_txt = dataset_to_arrays(second_pairs.view(np.ndarray)[idx2])
+                e2_i, cache2_i = image_encoder.forward(x2_img)
+                e2_t, cache2_t = text_encoder.forward(x2_txt)
                 fused2 = fuse_sum_rows(e2_i, e2_t, renormalize=config.renormalize_fusion)
                 batch2 = TripletBatch.from_rows(e2_i, e2_t, fused2, validate_norms=False)
                 t_out = two_direction_loss(batch2, *MIXED_TASKS[step % 2], tau_now)

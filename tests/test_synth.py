@@ -128,6 +128,14 @@ class TestFileFormat:
             assert np.array_equal(a.x_img, b.x_img)
             assert np.array_equal(a.x_txt, b.x_txt)
 
+    def test_strided_records_write_the_same_bytes(self, tmp_path):
+        pairs, manifest = generate_dataset(n_pairs=10, k=2, d_in=6, sigma=0.1, seed=4)
+        strided = np.repeat(pairs, 2)[::2]
+        assert not strided.flags.c_contiguous
+        write_dataset(pairs, manifest, tmp_path / "a.gcld")
+        write_dataset(strided, manifest, tmp_path / "b.gcld")
+        assert (tmp_path / "a.gcld").read_bytes() == (tmp_path / "b.gcld").read_bytes()
+
     def test_identical_args_give_byte_identical_files(self, tmp_path):
         for name in ("a.gcld", "b.gcld"):
             pairs, manifest = generate_dataset(n_pairs=10, k=2, d_in=6, sigma=0.1, seed=4)
@@ -276,6 +284,7 @@ ORACLE_CASES = {
     "k_eq_d_in": dict(n_pairs=10, k=6, d_in=6, sigma=0.3, seed=7),
     "shared_world": dict(n_pairs=10, k=3, d_in=9, sigma=0.2, seed=100, projection_seed=42),
     "reference_scale": dict(n_pairs=5000, k=8, d_in=32, sigma=0.1, seed=0),
+    "concept_blocks_dup2": dict(n_pairs=2 * 4099, k=3, d_in=8, sigma=0.1, seed=8, duplication=2),
 }
 
 
