@@ -11,7 +11,7 @@ convention so the output is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -27,36 +27,16 @@ from .errors import (
 _VARIANCE_FLOOR = 1e-12
 
 
-def _group_samples(
-    samples: Mapping[Modality, np.ndarray] | Iterable[tuple[np.ndarray, Modality]],
-) -> tuple[np.ndarray, list[Modality]]:
-    """Flatten either input form to (stacked rows, per-row modality tags).
-
-    Mapping input is traversed in canonical modality order; pair-iterable
-    input keeps its given order.
-    """
-    rows: list[np.ndarray] = []
-    tags: list[Modality] = []
-    if isinstance(samples, Mapping):
-        for modality in MODALITIES:
-            block = samples.get(modality)
-            if block is None:
-                continue
-            block = np.asarray(block, dtype=np.float64)
-            if block.ndim != 2:
-                raise ShapeMismatchError(f"samples for {modality.value} must be 2-D, got ndim={block.ndim}")
-            rows.extend(block)
-            tags.extend([modality] * block.shape[0])
-    else:
-        for embedding, modality in samples:
-            rows.append(np.asarray(embedding, dtype=np.float64))
-            tags.append(modality)
-    if rows:
-        dims = {r.shape for r in rows}
-        if len(dims) != 1 or rows[0].ndim != 1:
-            raise ShapeMismatchError(f"sample rows must share one 1-D shape, got {sorted(dims)}")
-    matrix = np.stack(rows) if rows else np.zeros((0, 0))
-    return matrix, tags
+def _blocks(samples: Mapping[Modality, np.ndarray]) -> dict[Modality, np.ndarray]:
+    """The given modalities' sample rows as C-ordered float64 matrices, in canonical modality order."""
+    blocks = {m: np.ascontiguousarray(samples[m], dtype=np.float64) for m in MODALITIES if m in samples}
+    for modality, block in blocks.items():
+        if block.ndim != 2:
+            raise ShapeMismatchError(f"samples for {modality.value} must be 2-D, got ndim={block.ndim}")
+    dims = sorted({block.shape[1] for block in blocks.values()})
+    if len(dims) > 1:
+        raise ShapeMismatchError(f"sample rows must share one dimension, got {dims}")
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -93,20 +73,14 @@ class GapReport:
         }
 
 
-def modality_gap_table(
-    samples: Mapping[Modality, np.ndarray] | Iterable[tuple[np.ndarray, Modality]],
-) -> GapReport:
+def modality_gap_table(samples: Mapping[Modality, np.ndarray]) -> GapReport:
     """Summarize the gap between modality clusters on the unit sphere."""
-    matrix, tags = _group_samples(samples)
-    raw_means: dict[Modality, np.ndarray] = {}
-    counts: dict[Modality, int] = {}
+    blocks = _blocks(samples)
     for modality in MODALITIES:
-        mask = np.array([t is modality for t in tags], dtype=bool)
-        count = int(mask.sum())
-        if count == 0:
+        if len(blocks.get(modality, ())) == 0:
             raise MissingModalityError(f"no samples for modality '{modality.value}'")
-        raw_means[modality] = matrix[mask].mean(axis=0)
-        counts[modality] = count
+    raw_means = {m: blocks[m].mean(axis=0) for m in MODALITIES}
+    counts = {m: len(blocks[m]) for m in MODALITIES}
     directions = {m: l2_normalize(raw_means[m]) for m in MODALITIES}
     stacked = np.stack([directions[m] for m in MODALITIES])
     cosine = np.clip(stacked @ stacked.T, -1.0, 1.0)
@@ -141,19 +115,18 @@ class PcaProjection:
         return "x,y,modality\n" + "".join([f"{x:.12g},{y:.12g},{m.value}\n" for (x, y), m in rows])
 
 
-def pca_2d(
-    samples: Mapping[Modality, np.ndarray] | Iterable[tuple[np.ndarray, Modality]],
-) -> PcaProjection:
+def pca_2d(samples: Mapping[Modality, np.ndarray]) -> PcaProjection:
     """Project samples onto their top two principal directions.
 
     The directions are the top two eigenvectors of the covariance of the
     mean-centered samples. Components follow the largest-coordinate-positive
     sign convention, so the output is deterministic for a given sample set.
     """
-    matrix, tags = _group_samples(samples)
-    n = matrix.shape[0]
+    blocks = _blocks(samples)
+    n = sum(len(block) for block in blocks.values())
     if n < 3:
         raise BatchTooSmallError(f"need at least 3 samples for a 2-D projection, got {n}")
+    matrix = np.concatenate(list(blocks.values()))
     d = matrix.shape[1]
     if d < 2:
         raise InvalidDimsError(f"need embedding dimension >= 2, got {d}")
@@ -170,6 +143,6 @@ def pca_2d(
     return PcaProjection(
         components=components,
         projected=centered @ components.T,
-        modalities=list(tags),
+        modalities=[m for m, block in blocks.items() for _ in range(len(block))],
         explained_variance_ratio=ratio,
     )

@@ -35,16 +35,6 @@ class Modality(Enum):
 # Canonical ordering used by similarity grids, gap tables, and reports.
 MODALITIES = (Modality.IMAGE, Modality.TEXT, Modality.FUSED)
 
-_CODE_TO_MODALITY = {m.code: m for m in MODALITIES}
-
-
-def modality_from_code(code: str) -> Modality:
-    """Inverse of Modality.code; raises on unknown codes."""
-    try:
-        return _CODE_TO_MODALITY[code]
-    except KeyError:
-        raise ValueError(f"unknown modality code {code!r}; expected i, t, or it") from None
-
 
 @dataclass(frozen=True)
 class EmbeddingMatrix:

@@ -226,11 +226,6 @@ def build_local_pool(candidates: Iterable[Candidate]) -> RetrievalPool:
     return RetrievalPool(list(candidates), PoolSetting.LOCAL)
 
 
-def cosine_to_ground_truth(queries: QuerySet, pool: RetrievalPool) -> list[float]:
-    """cosine(query, best-ranked ground-truth candidate) per query."""
-    return _gt_cosines(queries, pool, _ground_truth_columns(queries, pool))
-
-
 def _gt_cosines(queries: QuerySet, pool: RetrievalPool, gt) -> list[float]:
     gt_rows, columns, starts = gt
     cosines = _pair_dots(pool.matrix[columns], queries.rows[gt_rows])

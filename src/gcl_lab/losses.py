@@ -52,7 +52,7 @@ from typing import Callable
 
 import numpy as np
 
-from .embeddings import MODALITIES, EmbeddingMatrix, Modality, modality_from_code
+from .embeddings import MODALITIES, EmbeddingMatrix, Modality
 from .errors import (
     BatchTooSmallError,
     ConfigError,
@@ -89,20 +89,6 @@ ABLATION_DROPS: dict[str, tuple[Pair, ...]] = {
 def pair_name(pair: Pair) -> str:
     """Readable pair key, e.g. (Image, Fused) -> 'i2it'."""
     return f"{pair[0].code}2{pair[1].code}"
-
-
-def parse_pair(name: str) -> Pair:
-    """Inverse of pair_name; raises ConfigError on malformed names."""
-    parts = name.split("2")
-    if len(parts) != 2:
-        raise ConfigError(f"pair name must look like 'i2t', got {name!r}")
-    try:
-        pair = (modality_from_code(parts[0]), modality_from_code(parts[1]))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    if pair not in FULL_PAIR_SET:
-        raise ConfigError(f"pair {name!r} is not one of the six query/candidate pairs")
-    return pair
 
 
 class DenominatorMode(Enum):

@@ -41,7 +41,7 @@ FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sHIIIfQ")
 
 SPLITS = ("train", "eval")
-_CONCEPT_BLOCK = 4096  # concepts whose projected latents generate_dataset holds at once
+_CONCEPT_BLOCK = 4096  # concepts whose noise and projected latents generate_dataset holds at once
 
 
 def record_dtype(d_in: int) -> np.dtype:
@@ -132,19 +132,21 @@ def generate_dataset(
 
     # Records first: every working array after them is smaller, so a repeated call asks for the largest first.
     pairs = np.recarray(n_pairs, dtype=record_dtype(d_in))
+    pairs.concept_id = np.arange(n_pairs) // duplication
     n_concepts = n_pairs // duplication
     z = rng.standard_normal((n_concepts, k, 1))
     z /= np.sqrt(z.transpose(0, 2, 1) @ z)
-    # axes: concept, view of the concept, modality (image, text), feature
-    x = rng.standard_normal((n_concepts, duplication, 2, d_in))
-    x *= sigma32
-    for start in range(0, n_concepts, _CONCEPT_BLOCK):  # one product per concept, so blocking keeps the bits
-        block = slice(start, start + _CONCEPT_BLOCK)
-        x[block, :, 0] += (a_img @ z[block])[:, None, :, 0]
-        x[block, :, 1] += (a_txt @ z[block])[:, None, :, 0]
-    pairs.concept_id = np.arange(n_pairs) // duplication
-    pairs.x_img = x[:, :, 0].reshape(n_pairs, d_in)
-    pairs.x_txt = x[:, :, 1].reshape(n_pairs, d_in)
+    # one block of concepts at a time: consecutive draws continue one stream, and each product is per concept
+    for start in range(0, n_concepts, _CONCEPT_BLOCK):
+        block = z[start : start + _CONCEPT_BLOCK]
+        # axes: concept, view of the concept, modality (image, text), feature
+        x = rng.standard_normal((len(block), duplication, 2, d_in))
+        x *= sigma32
+        x[:, :, 0] += (a_img @ block)[:, None, :, 0]
+        x[:, :, 1] += (a_txt @ block)[:, None, :, 0]
+        rows = slice(start * duplication, (start + len(block)) * duplication)
+        pairs.x_img[rows] = x[:, :, 0].reshape(-1, d_in)
+        pairs.x_txt[rows] = x[:, :, 1].reshape(-1, d_in)
     manifest = DatasetManifest(
         n_pairs=n_pairs,
         d_in=d_in,

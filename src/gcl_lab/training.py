@@ -13,7 +13,9 @@ Checkpoints use the GCLC binary format (little-endian):
     name_len u16 | name utf8 | ndim u8 | dims u32 * ndim | float64 data
 
 Arrays hold encoder parameters, AdamW moments ("opt.m.*", "opt.v.*"), and
-the optimizer step counter ("opt.step").
+the optimizer step counter ("opt.step"). The trainer keeps all but the step
+in one name -> array state table: a resume copies the stored arrays into it,
+and save_checkpoint writes it, plus the step, as the named arrays it takes.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import json
 import math
 import struct
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -116,28 +119,12 @@ class TrainConfig:
             raise ConfigError(f"need 0 < tau_min <= tau_max, got {self.tau_min}, {self.tau_max}")
 
     def to_dict(self) -> dict:
-        d = {
-            "variant": self.variant,
-            "loss": {
-                "tau": self.loss.tau,
-                "pair_set": [pair_name(p) for p in self.loss.pair_set],
-                "denominator_mode": self.loss.denominator_mode.value,
-                "normalization": self.loss.normalization,
-            },
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "base_lr": self.base_lr,
-            "weight_decay": self.weight_decay,
-            "warmup_steps": self.warmup_steps,
-            "seed": self.seed,
-            "encoder": asdict(self.encoder),
-            "renormalize_fusion": self.renormalize_fusion,
-            "freeze_image": self.freeze_image,
-            "freeze_text": self.freeze_text,
-            "learnable_tau": self.learnable_tau,
-            "tau_min": self.tau_min,
-            "tau_max": self.tau_max,
-            "triplet_weight": self.triplet_weight,
+        d = asdict(self)
+        d["loss"] = {
+            "tau": self.loss.tau,
+            "pair_set": [pair_name(p) for p in self.loss.pair_set],
+            "denominator_mode": self.loss.denominator_mode.value,
+            "normalization": self.loss.normalization,
         }
         return d
 
@@ -208,7 +195,7 @@ class TrainedModel:
         )
 
 
-def _loss_for_variant(kind, drop, batch, loss_cfg):
+def _loss_for_variant(kind, drop, loss_cfg, batch):
     """The variant's loss; for cl and imsep, loss_cfg already holds CL_PAIR_SET."""
     if kind == "cl":
         return cl_loss(batch.images, batch.texts, loss_cfg)
@@ -220,11 +207,22 @@ def _loss_for_variant(kind, drop, batch, loss_cfg):
     return gcl_loss(batch, loss_cfg)
 
 
-def _encoder_output_grads(out, e_i: np.ndarray, e_t: np.ndarray, renormalize: bool):
-    """Gradients reaching each encoder's output: its own partial plus its share
-    of the fused partial, chained through the fusion."""
-    gf_i, gf_t = fusion_backprop(out.grads.fused, e_i, e_t, renormalize)
-    return out.grads.images + gf_i, out.grads.texts + gf_t
+def _backprop(encoders, trained, x_img, x_txt, loss_of, renormalize, grads, weight):
+    """Encode one batch, apply loss_of to it, and add weight times each trained
+    encoder's parameter gradients into grads; returns the loss output.
+
+    Each encoder's output gradient is its own partial plus the fused partial
+    chained through the fusion.
+    """
+    (e_i, cache_i), (e_t, cache_t) = encoders["img"].forward(x_img), encoders["txt"].forward(x_txt)
+    fused = fuse_sum_rows(e_i, e_t, renormalize=renormalize)
+    out = loss_of(TripletBatch.from_rows(e_i, e_t, fused, validate_norms=False))
+    grad_fused, _ = fusion_backprop(out.grads.fused, e_i, e_t, renormalize)
+    for prefix, cache, grad_own in (("img", cache_i, out.grads.images), ("txt", cache_t, out.grads.texts)):
+        if prefix in trained:
+            for key, g in encoders[prefix].backward(cache, grad_own + grad_fused).items():
+                grads[f"{prefix}.{key}"] += weight * g
+    return out
 
 
 def train(
@@ -273,49 +271,37 @@ def train(
             raise ConfigError("second dataset must contain at least one full batch")
 
     init_rng = np.random.default_rng([config.seed, 0])
-    image_encoder = build_encoder(config.encoder, init_rng)
-    text_encoder = build_encoder(config.encoder, init_rng)
-    params: dict[str, np.ndarray] = {}
-    for prefix, enc in (("img", image_encoder), ("txt", text_encoder)):
-        for key, value in enc.params.items():
-            params[f"{prefix}.{key}"] = value
+    encoders = {prefix: build_encoder(config.encoder, init_rng) for prefix in ("img", "txt")}
+    frozen = {"img": config.freeze_image, "txt": config.freeze_text}
+    trained = {prefix for prefix in encoders if not frozen[prefix]}
+    params, optimized = {}, {}
+    for prefix, enc in encoders.items():
+        named = {f"{prefix}.{key}": p for key, p in enc.params.items()}
+        params.update(named)
+        if prefix in trained:
+            optimized.update(named)
     if config.learnable_tau:
-        params["log_tau"] = np.array(math.log(config.loss.tau))
-
-    frozen_prefixes = []
-    if config.freeze_image:
-        frozen_prefixes.append("img.")
-    if config.freeze_text:
-        frozen_prefixes.append("txt.")
-    optimized = {
-        k: p for k, p in params.items() if not any(k.startswith(pre) for pre in frozen_prefixes)
-    }
+        params["log_tau"] = optimized["log_tau"] = np.array(math.log(config.loss.tau))
     opt_state = OptimizerState.initialize(optimized, weight_decay=config.weight_decay)
+    grads = {name: np.zeros_like(p) for name, p in optimized.items()}
+    # everything a checkpoint holds besides the step counter, by its name in the file
+    state = {**params, **{f"opt.m.{k}": m for k, m in opt_state.m.items()}}
+    state.update({f"opt.v.{k}": v for k, v in opt_state.v.items()})
 
     start_epoch = 0
     if resume_from is not None:
         ckpt = resume_from if isinstance(resume_from, Checkpoint) else load_checkpoint(resume_from)
-        expected = config_hash(config)
-        if ckpt.config_hash != expected:
-            raise ConfigError(
-                f"checkpoint was written for config {ckpt.config_hash[:12]}..., "
-                f"but the given config hashes to {expected[:12]}..."
-            )
+        _check_config_hash(ckpt, config)
         if not (0 < ckpt.epochs_completed < config.epochs):
             raise ConfigError(
                 f"cannot resume: checkpoint has {ckpt.epochs_completed} epochs completed "
                 f"of {config.epochs} configured"
             )
-        needed = set(params) | {"opt.step"}
-        needed |= {f"opt.{kind_}.{k}" for kind_ in ("m", "v") for k in optimized}
-        missing = sorted(needed - set(ckpt.arrays))
+        missing = sorted((set(state) | {"opt.step"}) - set(ckpt.arrays))
         if missing:
             raise ConfigError(f"checkpoint is missing arrays {missing}")
-        for key in params:
-            np.copyto(params[key], ckpt.arrays[key])
-        for key in optimized:
-            np.copyto(opt_state.m[key], ckpt.arrays[f"opt.m.{key}"])
-            np.copyto(opt_state.v[key], ckpt.arrays[f"opt.v.{key}"])
+        for name, arr in state.items():
+            np.copyto(arr, ckpt.arrays[name])
         opt_state.step = int(ckpt.arrays["opt.step"].item())
         start_epoch = ckpt.epochs_completed
 
@@ -327,7 +313,7 @@ def train(
         )
 
     # cl and imsep read the two cross-modal pairs with the default normalization
-    loss_cfg = config.loss
+    loss_cfg, renormalize = config.loss, config.renormalize_fusion
     if kind in ("cl", "imsep"):
         loss_cfg = replace(loss_cfg, pair_set=CL_PAIR_SET, normalization=None)
     log: list[dict] = []
@@ -342,17 +328,25 @@ def train(
             tau_now = float(np.exp(params["log_tau"])) if config.learnable_tau else config.loss.tau
             if loss_cfg.tau != tau_now:  # only a learnable tau moves; rebuilding re-validates
                 loss_cfg = replace(loss_cfg, tau=tau_now)
+            for g in grads.values():
+                g.fill(-0.0)  # the additive identity, so the first add leaves exactly the added gradient
 
             _, x_img, x_txt = dataset_to_arrays(records[idx])
-            e_i, cache_i = image_encoder.forward(x_img)
-            e_t, cache_t = text_encoder.forward(x_txt)
-            fused = fuse_sum_rows(e_i, e_t, renormalize=config.renormalize_fusion)
-            batch = TripletBatch.from_rows(e_i, e_t, fused, validate_norms=False)
-            out = _loss_for_variant(kind, drop, batch, loss_cfg)
-
+            main_loss = partial(_loss_for_variant, kind, drop, loss_cfg)
+            out = _backprop(encoders, trained, x_img, x_txt, main_loss, renormalize, grads, 1.0)
             value = out.value
-            grad_i, grad_t = _encoder_output_grads(out, e_i, e_t, config.renormalize_fusion)
             grad_log_tau = out.grad_tau * tau_now
+            if use_mixed:
+                idx2 = order2[(b % steps2) * config.batch_size : (b % steps2 + 1) * config.batch_size]
+                _, x2_img, x2_txt = dataset_to_arrays(second_pairs.view(np.ndarray)[idx2])
+                query, candidate = MIXED_TASKS[step % 2]
+                mixed_loss = partial(two_direction_loss, query=query, candidate=candidate, tau=tau_now)
+                w = config.triplet_weight
+                t_out = _backprop(encoders, trained, x2_img, x2_txt, mixed_loss, renormalize, grads, w)
+                value = value + w * t_out.value
+                grad_log_tau += w * t_out.grad_tau * tau_now
+            if config.learnable_tau:
+                grads["log_tau"][()] = grad_log_tau
 
             record = {
                 "step": step,
@@ -362,44 +356,14 @@ def train(
                 "tau": tau_now,
                 "per_term": {k: v for k, v in sorted(out.per_term.items())},
             }
-
-            param_grads: dict[str, np.ndarray] = {}
-            if not config.freeze_image:
-                for key, g in image_encoder.backward(cache_i, grad_i).items():
-                    param_grads[f"img.{key}"] = g
-            if not config.freeze_text:
-                for key, g in text_encoder.backward(cache_t, grad_t).items():
-                    param_grads[f"txt.{key}"] = g
-
             if use_mixed:
-                idx2 = order2[(b % steps2) * config.batch_size : (b % steps2 + 1) * config.batch_size]
-                _, x2_img, x2_txt = dataset_to_arrays(second_pairs.view(np.ndarray)[idx2])
-                e2_i, cache2_i = image_encoder.forward(x2_img)
-                e2_t, cache2_t = text_encoder.forward(x2_txt)
-                fused2 = fuse_sum_rows(e2_i, e2_t, renormalize=config.renormalize_fusion)
-                batch2 = TripletBatch.from_rows(e2_i, e2_t, fused2, validate_norms=False)
-                t_out = two_direction_loss(batch2, *MIXED_TASKS[step % 2], tau_now)
-                t_value = t_out.value
-                grad2_i, grad2_t = _encoder_output_grads(t_out, e2_i, e2_t, config.renormalize_fusion)
-                w = config.triplet_weight
-                value = value + w * t_value
-                grad_log_tau += w * t_out.grad_tau * tau_now
-                record["loss"] = value
-                record["triplet_loss"] = t_value
-                if not config.freeze_image:
-                    for key, g in image_encoder.backward(cache2_i, grad2_i).items():
-                        param_grads[f"img.{key}"] += w * g
-                if not config.freeze_text:
-                    for key, g in text_encoder.backward(cache2_t, grad2_t).items():
-                        param_grads[f"txt.{key}"] += w * g
-
-            if config.learnable_tau:
-                param_grads["log_tau"] = np.array(grad_log_tau)
-
+                record["triplet_loss"] = t_out.value
             if not math.isfinite(value):
                 raise DivergenceDetectedError(f"loss became non-finite at step {step} (epoch {epoch})")
-            bad = [k for k, g in param_grads.items() if not np.all(np.isfinite(g))]
-            if bad:
+            try:
+                adamw_step(optimized, grads, opt_state, record["lr"])
+            except NonFiniteGradientError:
+                bad = [k for k, g in grads.items() if not np.all(np.isfinite(g))]
                 err = NonFiniteGradientError(f"non-finite gradients at step {step} in {bad}")
                 err.state_dump = {
                     "step": step,
@@ -408,26 +372,21 @@ def train(
                     "bad_keys": bad,
                     "param_norms": {k: float(np.linalg.norm(p)) for k, p in params.items()},
                 }
-                raise err
-
-            adamw_step(optimized, param_grads, opt_state, record["lr"])
+                raise err from None
             if config.learnable_tau:
-                clipped = float(
-                    np.clip(params["log_tau"], math.log(config.tau_min), math.log(config.tau_max))
-                )
-                params["log_tau"][()] = clipped
+                log_tau = params["log_tau"]
+                np.clip(log_tau, math.log(config.tau_min), math.log(config.tau_max), out=log_tau)
             log.append(record)
             step += 1
 
     final_tau = float(np.exp(params["log_tau"])) if config.learnable_tau else config.loss.tau
     model = TrainedModel(
-        config=config, image_encoder=image_encoder, text_encoder=text_encoder, tau=final_tau
+        config=config, image_encoder=encoders["img"], text_encoder=encoders["txt"], tau=final_tau
     )
     if checkpoint_path is not None:
         save_checkpoint(
             checkpoint_path,
-            params=params,
-            opt_state=opt_state,
+            {**state, "opt.step": np.array(float(opt_state.step))},
             cfg_hash=config_hash(config),
             seed=config.seed,
             epochs_completed=last_epoch,
@@ -437,20 +396,12 @@ def train(
 
 def save_checkpoint(
     path: str | Path,
-    params: dict[str, np.ndarray],
-    opt_state: OptimizerState,
+    arrays: dict[str, np.ndarray],
     cfg_hash: str,
     seed: int,
     epochs_completed: int,
 ) -> None:
-    """Write parameters and optimizer state in the GCLC binary format."""
-    arrays: dict[str, np.ndarray] = dict(params)
-    for key, m in opt_state.m.items():
-        arrays[f"opt.m.{key}"] = m
-    for key, v in opt_state.v.items():
-        arrays[f"opt.v.{key}"] = v
-    arrays["opt.step"] = np.array(float(opt_state.step))
-
+    """Write named float64 arrays in the GCLC binary format, sorted by name."""
     path = Path(path)
     with open(path, "wb") as fh:
         fh.write(
@@ -535,23 +486,25 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     )
 
 
-def model_from_checkpoint(config: TrainConfig, path: str | Path) -> TrainedModel:
-    """Rebuild a TrainedModel from a config and its checkpoint file.
-
-    The stored config hash must match the given config.
-    """
-    ckpt = load_checkpoint(path)
+def _check_config_hash(ckpt: Checkpoint, config: TrainConfig) -> None:
     expected = config_hash(config)
     if ckpt.config_hash != expected:
         raise ConfigError(
             f"checkpoint was written for config {ckpt.config_hash[:12]}..., "
             f"but the given config hashes to {expected[:12]}..."
         )
-    if config.encoder.hidden is None:
-        image_encoder = LinearEncoder(config.encoder, ckpt.encoder_params("img"))
-        text_encoder = LinearEncoder(config.encoder, ckpt.encoder_params("txt"))
-    else:
-        image_encoder = MlpEncoder(config.encoder, ckpt.encoder_params("img"))
-        text_encoder = MlpEncoder(config.encoder, ckpt.encoder_params("txt"))
+
+
+def model_from_checkpoint(config: TrainConfig, path: str | Path) -> TrainedModel:
+    """Rebuild a TrainedModel from a config and its checkpoint file.
+
+    The stored config hash must match the given config.
+    """
+    ckpt = load_checkpoint(path)
+    _check_config_hash(ckpt, config)
+    encoder_cls = LinearEncoder if config.encoder.hidden is None else MlpEncoder
+    image_encoder, text_encoder = (
+        encoder_cls(config.encoder, ckpt.encoder_params(prefix)) for prefix in ("img", "txt")
+    )
     tau = float(np.exp(ckpt.arrays["log_tau"])) if "log_tau" in ckpt.arrays else config.loss.tau
     return TrainedModel(config=config, image_encoder=image_encoder, text_encoder=text_encoder, tau=tau)

@@ -85,24 +85,26 @@ class TestGapTable:
         with pytest.raises(MissingModalityError, match="fused"):
             modality_gap_table(samples)
 
-    def test_pair_iterable_input(self):
+    def test_mapping_order_and_row_lists(self):
+        # Blocks are read in canonical modality order whatever the mapping's
+        # order, and any 2-D array-like is accepted.
         rng = np.random.default_rng(3)
         samples = three_modality_samples(rng, n=4)
-        pairs = [(row, m) for m in MODALITIES for row in samples[m]]
-        report_pairs = modality_gap_table(pairs)
-        report_dict = modality_gap_table(samples)
+        reordered = {m: samples[m].tolist() for m in reversed(MODALITIES)}
+        report_lists = modality_gap_table(reordered)
+        report_arrays = modality_gap_table(samples)
         for m in MODALITIES:
-            np.testing.assert_allclose(
-                report_pairs.mean_directions[m], report_dict.mean_directions[m], atol=1e-12
-            )
+            assert np.array_equal(report_lists.mean_directions[m], report_arrays.mean_directions[m])
+        assert np.array_equal(report_lists.pairwise_cosine, report_arrays.pairwise_cosine)
 
     def test_mismatched_dims_rejected(self):
-        pairs = [
-            (np.array([1.0, 0.0]), Modality.IMAGE),
-            (np.array([1.0, 0.0, 0.0]), Modality.TEXT),
-        ]
+        samples = {
+            Modality.IMAGE: np.array([[1.0, 0.0]]),
+            Modality.TEXT: np.array([[1.0, 0.0, 0.0]]),
+            Modality.FUSED: np.array([[1.0, 0.0]]),
+        }
         with pytest.raises(ShapeMismatchError):
-            modality_gap_table(pairs)
+            modality_gap_table(samples)
 
     def test_json_contains_norms_and_min_cosine(self):
         rng = np.random.default_rng(4)
@@ -115,7 +117,7 @@ class TestGapTable:
 
 def tagged(matrix):
     """Wrap untagged rows for pca_2d by assigning all to one modality."""
-    return [(row, Modality.IMAGE) for row in matrix]
+    return {Modality.IMAGE: matrix}
 
 
 class TestPca:
@@ -227,7 +229,7 @@ class TestPca:
         assert lines[1].endswith(",image")
         assert lines[-1].endswith(",fused")
 
-    def test_pair_input_keeps_tags_and_shapes(self):
+    def test_mapping_input_keeps_tags_and_shapes(self):
         rng = np.random.default_rng(10)
         proj = pca_2d(tagged(rng.standard_normal((10, 3))))
         assert proj.modalities == [Modality.IMAGE] * 10

@@ -25,7 +25,6 @@ from gcl_lab.evaluation import (
     build_local_pool,
     build_report,
     cosine_by_rank,
-    cosine_to_ground_truth,
     rank_of_ground_truth,
     recall_at_k,
 )
@@ -251,7 +250,7 @@ class TestRankOfGroundTruth:
         # Order: 6 (1.0), then 4 and 9 tied at 0.6 with 4 first, then 2.
         ranks, _ = rank_of_ground_truth(queries, pool)
         assert ranks == [2]
-        assert cosine_to_ground_truth(queries, pool) == [pytest.approx(0.6)]
+        assert build_report(queries, pool, k_values=[1]).gt_cosines == [pytest.approx(0.6)]
 
     def test_histogram_buckets_are_powers_of_two(self):
         rng = np.random.default_rng(6)
@@ -287,7 +286,7 @@ class TestRankOfGroundTruth:
 
 
 class TestCosines:
-    def test_cosine_to_ground_truth_picks_best_ranked(self):
+    def test_gt_cosine_picks_best_ranked(self):
         cands = [
             Candidate(id=0, embedding=np.array([1.0, 0.0]), modality=Modality.IMAGE, source_task="t"),
             Candidate(id=1, embedding=np.array([0.0, 1.0]), modality=Modality.IMAGE, source_task="t"),
@@ -296,7 +295,7 @@ class TestCosines:
         q = Query(id=0, embedding=np.array([0.6, 0.8]), modality=Modality.TEXT)
         queries = QuerySet(queries=[q], ground_truth={0: {0, 1}})
         # id 1 scores 0.8 > 0.6, so the best ground truth is id 1.
-        assert cosine_to_ground_truth(queries, pool) == [pytest.approx(0.8)]
+        assert build_report(queries, pool, k_values=[1]).gt_cosines == [pytest.approx(0.8)]
 
     def test_cosine_by_rank_non_increasing_per_query(self):
         # With a single query the mean curve is that query's own sorted
@@ -357,7 +356,12 @@ class TestReport:
         ranks, hist = rank_of_ground_truth(queries, pool)
         assert report.ranks == ranks
         assert report.rank_histogram == hist
-        assert report.gt_cosines == cosine_to_ground_truth(queries, pool)
+        # the best-ranked ground truth is the one with the highest cosine
+        best_gt = [
+            max(float(q.embedding @ c.embedding) for c in pool.candidates if c.id in queries.ground_truth[q.id])
+            for q in queries.queries
+        ]
+        assert report.gt_cosines == pytest.approx(best_gt, abs=1e-12)
 
     def test_one_candidate_pool(self):
         cand = Candidate(id=5, embedding=np.array([0.6, 0.8]), modality=Modality.IMAGE, source_task="t")

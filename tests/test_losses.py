@@ -30,7 +30,6 @@ from gcl_lab.losses import (
     intra_modality_separation_loss,
     loss_gradient_check,
     pair_name,
-    parse_pair,
     two_direction_loss,
 )
 
@@ -57,17 +56,6 @@ def uniform_batch(n, d):
 
 def pairs_as_codes(pair_set):
     return tuple((a.code, b.code) for a, b in pair_set)
-
-
-class TestPairNames:
-    def test_roundtrip(self):
-        for pair in FULL_PAIR_SET:
-            assert parse_pair(pair_name(pair)) == pair
-
-    def test_bad_names(self):
-        for bad in ("i2x", "foo", "i2t2it", "it2it"):
-            with pytest.raises(ConfigError):
-                parse_pair(bad)
 
 
 class TestLossConfig:

@@ -23,6 +23,8 @@ from gcl_lab.errors import (
     ZeroVectorError,
 )
 from gcl_lab.losses import (
+    CL_PAIR_SET,
+    DenominatorMode,
     LossConfig,
     LossGrads,
     LossOutput,
@@ -439,6 +441,20 @@ class TestTrainLoop:
         assert dump["step"] == 0
         assert "img.W" in dump["param_norms"]
 
+    def test_non_finite_gradient_names_only_trained_keys(self, monkeypatch):
+        pairs = small_dataset()
+
+        def nan_grad_loss(batch, cfg=None):
+            nan = LossGrads(*(np.full_like(m.rows, np.nan) for m in (batch.images, batch.texts, batch.fused)))
+            return LossOutput(value=1.0, per_term={}, grads=nan)
+
+        monkeypatch.setattr(training, "gcl_loss", nan_grad_loss)
+        with pytest.raises(NonFiniteGradientError) as exc_info:
+            train(small_config(freeze_image=True), pairs)
+        dump = exc_info.value.state_dump
+        assert dump["bad_keys"] == ["txt.W", "txt.b"]
+        assert "img.W" in dump["param_norms"]
+
 
 class TestMixedObjectiveTemperature:
     def test_log_tau_gradient_matches_finite_difference_of_step_loss(self, monkeypatch):
@@ -491,6 +507,33 @@ class TestVariantParsing:
         assert config_hash(a) == config_hash(b)
         assert config_hash(a) != config_hash(c)
         assert len(config_hash(a)) == 64
+
+    def test_config_hash_pinned(self):
+        # The hash names every checkpoint, so the canonical form must not drift.
+        assert config_hash(TrainConfig()) == "0216389dd4d30a2b2ab5faf0dea6211c80e998336d205405d2e48d6064ceb0fa"
+        config = TrainConfig(
+            variant="gcl_plus_triplet",
+            loss=LossConfig(
+                tau=0.1,
+                pair_set=CL_PAIR_SET,
+                denominator_mode=DenominatorMode.EQUATION_LITERAL,
+                normalization=64.0,
+            ),
+            batch_size=32,
+            epochs=2,
+            base_lr=0.01,
+            weight_decay=0.05,
+            warmup_steps=3,
+            seed=9,
+            encoder=EncoderConfig(d_in=12, d_out=6, hidden=10),
+            renormalize_fusion=False,
+            freeze_image=True,
+            learnable_tau=True,
+            tau_min=0.02,
+            tau_max=0.5,
+            triplet_weight=0.25,
+        )
+        assert config_hash(config) == "2282b99d45387349f91489495cfc394f1db6c140e23661d04e973c198953954a"
 
     def test_config_dict_covers_every_field(self):
         # config_hash hashes to_dict, so every field must reach it as plain JSON
@@ -635,15 +678,44 @@ class TestResume:
         with pytest.raises(ConfigError):
             train(small_config(epochs=2), pairs, stop_after_epochs=3)
 
-    def test_resume_with_learnable_tau(self, tmp_path):
+    @pytest.mark.parametrize("freeze_image", [False, True])
+    @pytest.mark.parametrize("freeze_text", [False, True])
+    @pytest.mark.parametrize("learnable_tau", [False, True])
+    def test_resume_bit_exact_under_freezing(self, tmp_path, freeze_image, freeze_text, learnable_tau):
         pairs = small_dataset(n_pairs=64)
-        config = small_config(epochs=4, batch_size=16, learnable_tau=True)
-        train(config, pairs, checkpoint_path=tmp_path / "full.gclc")
-        train(config, pairs, checkpoint_path=tmp_path / "half.gclc", stop_after_epochs=2)
-        train(
+        config = small_config(
+            epochs=3,
+            batch_size=16,
+            base_lr=1e-2,
+            freeze_image=freeze_image,
+            freeze_text=freeze_text,
+            learnable_tau=learnable_tau,
+        )
+        _, log_full = train(config, pairs, checkpoint_path=tmp_path / "full.gclc")
+        _, log_head = train(config, pairs, checkpoint_path=tmp_path / "half.gclc", stop_after_epochs=1)
+        _, log_tail = train(
+            config, pairs, checkpoint_path=tmp_path / "resumed.gclc", resume_from=tmp_path / "half.gclc"
+        )
+        assert (tmp_path / "resumed.gclc").read_bytes() == (tmp_path / "full.gclc").read_bytes()
+        assert json.dumps(log_head + log_tail) == json.dumps(log_full)
+
+    def test_resume_bit_exact_with_mixed_objective(self, tmp_path):
+        pairs = small_dataset(n_pairs=64)
+        second = small_dataset(seed=99, n_pairs=48)
+        config = small_config(
+            variant="gcl_plus_triplet", epochs=3, batch_size=16, triplet_weight=0.5, learnable_tau=True
+        )
+        _, log_full = train(config, pairs, second_pairs=second, checkpoint_path=tmp_path / "full.gclc")
+        _, log_head = train(
+            config, pairs, second_pairs=second, checkpoint_path=tmp_path / "half.gclc", stop_after_epochs=1
+        )
+        _, log_tail = train(
             config,
             pairs,
+            second_pairs=second,
             checkpoint_path=tmp_path / "resumed.gclc",
             resume_from=tmp_path / "half.gclc",
         )
+        assert "triplet_loss" in log_full[0]
         assert (tmp_path / "resumed.gclc").read_bytes() == (tmp_path / "full.gclc").read_bytes()
+        assert json.dumps(log_head + log_tail) == json.dumps(log_full)
