@@ -28,7 +28,7 @@ _VARIANCE_FLOOR = 1e-12
 
 
 def _blocks(samples: Mapping[Modality, np.ndarray]) -> dict[Modality, np.ndarray]:
-    """The given modalities' sample rows as C-ordered float64 matrices, in canonical modality order."""
+    """Sample rows per modality in canonical order, as C-ordered float64 so a mean adds rows in sequence."""
     blocks = {m: np.ascontiguousarray(samples[m], dtype=np.float64) for m in MODALITIES if m in samples}
     for modality, block in blocks.items():
         if block.ndim != 2:
