@@ -265,79 +265,50 @@ def cosine_by_rank(queries: QuerySet, pool: RetrievalPool, max_rank: int) -> np.
     return np.cumsum(np.clip(curves, -1.0, 1.0), axis=0)[-1] / len(rows)
 
 
-@dataclass
-class RetrievalReport:
-    """Metrics for one (query set, pool) pair, serializable to JSON and CSV.
-
-    When a rank cap is set, both conventions for out-of-range ranks are
-    recorded: capped_ranks clips them to the cap, while dropped_beyond_cap
-    counts how many were discarded (ranks within the cap are unchanged).
-    """
-
-    setting: str
-    k_values: list[int]
-    recall_at: dict[int, float]
-    rank_histogram: dict[str, int]
-    ranks: list[int]
-    gt_cosines: list[float]
-    query_ids: list[int]
-    rank_cap: int | None = None
-    capped_ranks: list[int] | None = None
-    dropped_beyond_cap: int | None = None
-
-    def to_json_dict(self) -> dict:
-        d = {
-            "setting": self.setting,
-            "k_values": self.k_values,
-            "recall_at": {str(k): v for k, v in self.recall_at.items()},
-            "rank_histogram": self.rank_histogram,
-            "ranks": self.ranks,
-            "gt_cosines": self.gt_cosines,
-            "query_ids": self.query_ids,
-        }
-        if self.rank_cap is not None:
-            d["rank_cap"] = self.rank_cap
-            d["capped_ranks"] = self.capped_ranks
-            d["dropped_beyond_cap"] = self.dropped_beyond_cap
-        return d
-
-    def to_csv(self) -> str:
-        """One row per query: id, best GT rank, GT cosine, hit@K flags (k_values
-        ascending, as build_report gives them)."""
-        header = ",".join(["query_id", "best_gt_rank", "gt_cosine"] + [f"hit@{k}" for k in self.k_values])
-        # a rank misses the m smallest K below it, so its flags are m zeros, then ones
-        flags = [",0" * m + ",1" * (len(self.k_values) - m) for m in range(len(self.k_values) + 1)]
-        misses = np.searchsorted(self.k_values, self.ranks).tolist()
-        rows = zip(self.query_ids, self.ranks, self.gt_cosines, misses)
-        return header + "\n" + "".join([f"{qid},{rank},{cos:.8f}{flags[m]}\n" for qid, rank, cos, m in rows])
-
-
 def build_report(
     queries: QuerySet,
     pool: RetrievalPool,
     k_values: Sequence[int],
     rank_cap: int | None = None,
-) -> RetrievalReport:
-    """Compute ranks once and derive recalls, histogram, and cosines."""
+) -> dict:
+    """The report.json entry for one (query set, pool): ranks computed once,
+    then recalls (keyed by str(K)), histogram and ground-truth cosines.
+
+    When a rank cap is set, both conventions for out-of-range ranks are
+    recorded: capped_ranks clips them to the cap, while dropped_beyond_cap
+    counts how many were discarded (ranks within the cap are unchanged).
+    """
     k_values = sorted(set(int(k) for k in k_values))
     for k in k_values:
         if not (1 <= k <= pool.size):
             raise KOutOfRangeError(f"K={k} outside [1, {pool.size}]")
+    if rank_cap is not None and rank_cap < 1:
+        raise ConfigError(f"rank_cap must be >= 1, got {rank_cap}")
     gt = _ground_truth_columns(queries, pool)
     ranks = _ranks(queries, pool, gt)
-    report = RetrievalReport(
-        setting=pool.setting.value,
-        k_values=list(k_values),
-        recall_at={k: int(np.count_nonzero(ranks <= k)) / len(ranks) for k in k_values},
-        rank_histogram=_histogram(ranks, pool.size),
-        ranks=ranks.tolist(),
-        gt_cosines=_gt_cosines(queries, pool, gt),
-        query_ids=queries._truth[0],
-        rank_cap=rank_cap,
-    )
+    report = {
+        "setting": pool.setting.value,
+        "k_values": k_values,
+        "recall_at": {str(k): int(np.count_nonzero(ranks <= k)) / len(ranks) for k in k_values},
+        "rank_histogram": _histogram(ranks, pool.size),
+        "ranks": ranks.tolist(),
+        "gt_cosines": _gt_cosines(queries, pool, gt),
+        "query_ids": queries._truth[0],
+    }
     if rank_cap is not None:
-        if rank_cap < 1:
-            raise ConfigError(f"rank_cap must be >= 1, got {rank_cap}")
-        report.capped_ranks = np.minimum(ranks, rank_cap).tolist()
-        report.dropped_beyond_cap = int(np.count_nonzero(ranks > rank_cap))
+        report["rank_cap"] = rank_cap
+        report["capped_ranks"] = np.minimum(ranks, rank_cap).tolist()
+        report["dropped_beyond_cap"] = int(np.count_nonzero(ranks > rank_cap))
     return report
+
+
+def report_csv(report: dict) -> str:
+    """One row per query of a build_report entry: id, best GT rank, GT cosine,
+    hit@K flags (k_values ascending)."""
+    k_values = report["k_values"]
+    header = ",".join(["query_id", "best_gt_rank", "gt_cosine"] + [f"hit@{k}" for k in k_values])
+    # a rank misses the m smallest K below it, so its flags are m zeros, then ones
+    flags = [",0" * m + ",1" * (len(k_values) - m) for m in range(len(k_values) + 1)]
+    misses = np.searchsorted(k_values, report["ranks"]).tolist()
+    rows = zip(report["query_ids"], report["ranks"], report["gt_cosines"], misses)
+    return header + "\n" + "".join([f"{qid},{rank},{cos:.8f}{flags[m]}\n" for qid, rank, cos, m in rows])

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 from dataclasses import dataclass
 from itertools import repeat
@@ -37,18 +38,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import GapReport, PcaProjection, modality_gap_table, pca_2d
+from .diagnostics import PcaProjection, modality_gap_table, pca_2d
 from .embeddings import MODALITIES, Modality
 from .errors import ConfigError, FormatError, InvalidDimsError, NonFiniteGradientError
 from .evaluation import (
     Candidate,
     Query,
     QuerySet,
-    RetrievalReport,
     build_global_pool,
     build_local_pool,
     build_report,
     cosine_by_rank,
+    report_csv,
 )
 from .losses import DenominatorMode, LossConfig
 from .synth import dataset_to_arrays, generate_dataset, read_dataset, write_dataset
@@ -314,8 +315,17 @@ def _json_text(value, pad: str = "") -> str:
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    """Write a temporary file beside path, then rename it over path: a process
+    that dies mid-write leaves the old file whole."""
+    text = _json_text(payload) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(_json_text(payload) + "\n")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read_json(path: Path, what: str) -> dict:
@@ -342,10 +352,6 @@ def _record_timing(paths: ExperimentPaths, command: str, seconds: float, extra: 
         entry.update(extra)
     timings[command] = entry
     _write_json(paths.timings, timings)
-
-
-def _write_config(cfg: ExperimentConfig, paths: ExperimentPaths) -> None:
-    _write_json(paths.config, cfg.materialized)
 
 
 def cmd_generate(cfg: ExperimentConfig, paths: ExperimentPaths | None = None) -> dict:
@@ -378,7 +384,7 @@ def cmd_generate(cfg: ExperimentConfig, paths: ExperimentPaths | None = None) ->
         )
         write_dataset(triplet_pairs, triplet_manifest, paths.triplet_data)
         summary["triplet"] = {"path": str(paths.triplet_data), "n_pairs": triplet_manifest.n_pairs}
-    _write_config(cfg, paths)
+    _write_json(paths.config, cfg.materialized)
     _record_timing(paths, "generate", time.perf_counter() - started)
     return summary
 
@@ -443,7 +449,7 @@ def cmd_train(
         paths.train_log,
         {"config_hash": config_hash(train_config), "records": records},
     )
-    _write_config(cfg, paths)
+    _write_json(paths.config, cfg.materialized)
     ckpt = load_checkpoint(paths.checkpoint)
     _record_timing(
         paths,
@@ -507,49 +513,13 @@ def _query_set_for_task(
     return _query_sets(query_rows, query_modality)[cand_modality]
 
 
-@dataclass
-class RunReport:
-    """Everything cmd_eval measures, recomputable from the run's artifacts."""
+def compute_run_report(cfg: ExperimentConfig, paths: ExperimentPaths) -> tuple[dict, PcaProjection]:
+    """The report.json payload, built in memory (no files written), plus the
+    PCA projection that csv/pca_projection.csv tabulates.
 
-    config_hash: str
-    variant: str
-    seed: int
-    tasks: dict[str, dict[str, RetrievalReport]]  # task -> setting -> report
-    cosine_curves: dict[str, dict[str, list[float]]]
-    gap: GapReport
-    pca: PcaProjection
-    training_log: str
-    checkpoint: str
-
-    def to_json_dict(self) -> dict:
-        tasks = {}
-        for task, by_setting in self.tasks.items():
-            tasks[task] = {
-                setting: report.to_json_dict() for setting, report in by_setting.items()
-            }
-            for setting in tasks[task]:
-                tasks[task][setting]["cosine_by_rank"] = self.cosine_curves[task][setting]
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "config_hash": self.config_hash,
-            "variant": self.variant,
-            "seed": self.seed,
-            "tasks": tasks,
-            "gap": self.gap.to_json_dict(),
-            "pca": {
-                "components": self.pca.components.tolist(),
-                "explained_variance_ratio": self.pca.explained_variance_ratio.tolist(),
-            },
-            "training_log": self.training_log,
-            "checkpoint": self.checkpoint,
-        }
-
-
-def compute_run_report(cfg: ExperimentConfig, paths: ExperimentPaths) -> RunReport:
-    """Build the full evaluation report in memory (no files written).
-
-    Each (task, pool) gets a build_report; each distinct (query modality,
-    pool) gets one curve, so a query modality's three tasks share the global one.
+    Each (task, pool) gets a build_report with its cosine_by_rank curve; each
+    distinct (query modality, pool) gets one curve, so a query modality's
+    three tasks share the global one.
     """
     candidate_rows, query_rows = _encode_eval_views(cfg, paths)
     banks = _candidate_banks(candidate_rows)
@@ -558,62 +528,55 @@ def compute_run_report(cfg: ExperimentConfig, paths: ExperimentPaths) -> RunRepo
 
     k_values = cfg.eval_plan["k_values"]
     rank_cap = cfg.eval_plan["rank_cap"]
-    tasks: dict[str, dict[str, RetrievalReport]] = {}
-    curves: dict[str, dict[str, list[float]]] = {}
-
-    def curve(queries, pool) -> list[float]:
-        return [float(v) for v in cosine_by_rank(queries, pool, max(k for k in k_values if k <= pool.size))]
-
+    tasks: dict[str, dict[str, dict]] = {}
     for query_modality in MODALITIES:
         task_queries = _query_sets(query_rows, query_modality)
-        global_curve = None  # a curve does not depend on the ground truth: one per query modality
+        curves = {}  # a curve does not depend on the ground truth: one per (query modality, pool)
         for cand_modality in MODALITIES:
             task = f"q_{query_modality.code}->c_{cand_modality.code}"
             queries = task_queries[cand_modality]
-            local_pool = local_pools[cand_modality]
             tasks[task] = {}
-            for setting, pool in (("global", global_pool), ("local", local_pool)):
-                usable_k = [k for k in k_values if k <= pool.size]
+            for setting, pool in (("global", global_pool), ("local", local_pools[cand_modality])):
+                usable_k = [k for k in k_values if k <= pool.size]  # ascending, as materialized
                 if not usable_k:
                     raise ConfigError(f"no configured K fits pool of size {pool.size} for task {task}")
-                tasks[task][setting] = build_report(queries, pool, usable_k, rank_cap=rank_cap)
-            if global_curve is None:
-                global_curve = curve(queries, global_pool)
-            curves[task] = {"global": global_curve, "local": curve(queries, local_pool)}
+                if pool not in curves:
+                    curves[pool] = cosine_by_rank(queries, pool, usable_k[-1]).tolist()
+                report = build_report(queries, pool, usable_k, rank_cap=rank_cap)
+                tasks[task][setting] = {**report, "cosine_by_rank": curves[pool]}
 
     gap_samples = {m: candidate_rows[m] for m in MODALITIES}
     gap = modality_gap_table(gap_samples)
     pca = pca_2d(gap_samples)
-    return RunReport(
-        config_hash=cfg.run_hash(),
-        variant=cfg.variant,
-        seed=cfg.seed,
-        tasks=tasks,
-        cosine_curves=curves,
-        gap=gap,
-        pca=pca,
-        training_log=paths.train_log.name,
-        checkpoint=paths.checkpoint.name,
-    )
-
-
-def _task_file_stem(setting: str, task: str) -> str:
-    return f"{setting}_{task.replace('->', '_to_')}"
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "config_hash": cfg.run_hash(),
+        "variant": cfg.variant,
+        "seed": cfg.seed,
+        "tasks": tasks,
+        "gap": gap.to_json_dict(),
+        "pca": {
+            "components": pca.components.tolist(),
+            "explained_variance_ratio": pca.explained_variance_ratio.tolist(),
+        },
+        "training_log": paths.train_log.name,
+        "checkpoint": paths.checkpoint.name,
+    }
+    return payload, pca
 
 
 def cmd_eval(cfg: ExperimentConfig, paths: ExperimentPaths | None = None) -> dict:
     """Evaluate the checkpoint; writes report.json plus per-task CSV tables."""
     paths = paths or ExperimentPaths.for_run(cfg.output_dir)
     started = time.perf_counter()
-    report = compute_run_report(cfg, paths)
-    payload = report.to_json_dict()
+    payload, pca = compute_run_report(cfg, paths)
     _write_json(paths.report, payload)
     paths.csv_dir.mkdir(parents=True, exist_ok=True)
-    for task, by_setting in report.tasks.items():
+    for task, by_setting in payload["tasks"].items():
         for setting, task_report in by_setting.items():
-            stem = _task_file_stem(setting, task)
-            (paths.csv_dir / f"{stem}.csv").write_text(task_report.to_csv())
-    (paths.csv_dir / "pca_projection.csv").write_text(report.pca.to_csv())
+            stem = f"{setting}_{task.replace('->', '_to_')}"
+            (paths.csv_dir / f"{stem}.csv").write_text(report_csv(task_report))
+    (paths.csv_dir / "pca_projection.csv").write_text(pca.to_csv())
     _record_timing(paths, "eval", time.perf_counter() - started)
     return payload
 
@@ -627,7 +590,7 @@ def cmd_verify(cfg: ExperimentConfig, paths: ExperimentPaths | None = None) -> d
     if not paths.report.exists():
         raise ConfigError(f"report {paths.report} does not exist; run the eval command first")
     stored = _read_json(paths.report, "report")
-    recomputed = compute_run_report(cfg, paths).to_json_dict()  # JSON-native, so no round trip
+    recomputed, _ = compute_run_report(cfg, paths)  # JSON-native, so no round trip
     if stored == recomputed:
         return {"ok": True, "config_hash": recomputed["config_hash"]}
     diffs = _first_differences(stored, recomputed, path="report")
@@ -660,10 +623,6 @@ def _first_differences(a, b, path: str, limit: int = 3) -> str:
     return "; ".join(found) if found else "structures differ"
 
 
-def _safe_variant_dirname(variant: str) -> str:
-    return variant.replace(":", "_")
-
-
 def cmd_ablate(cfg: ExperimentConfig, paths: ExperimentPaths | None = None) -> dict:
     """Train/evaluate all six loss variants on one dataset and tabulate them.
 
@@ -673,25 +632,23 @@ def cmd_ablate(cfg: ExperimentConfig, paths: ExperimentPaths | None = None) -> d
     paths = paths or ExperimentPaths.for_run(cfg.output_dir)
     _require_dataset(paths.train_data, "training")
     _require_dataset(paths.eval_data, "evaluation")
+    _, eval_manifest = read_dataset(paths.eval_data)  # the pool is what is on disk, not what cfg.data says
+    k, pool_size = cfg.eval_plan["ablation_k"], 3 * eval_manifest.n_pairs // 2
+    if k not in cfg.eval_plan["k_values"] or k > pool_size:
+        raise ConfigError(
+            f"ablation_k={k} not in evaluated K grid {cfg.eval_plan['k_values']} "
+            f"up to the global pool size {pool_size}"
+        )
     started = time.perf_counter()
-    k = cfg.eval_plan["ablation_k"]
     rows = []
     for variant in ABLATION_VARIANTS:
-        sub_root = paths.root / "ablation" / _safe_variant_dirname(variant)
+        sub_root = paths.root / "ablation" / variant.replace(":", "_")
         sub_paths = ExperimentPaths.for_run(sub_root, data_dir=paths.data_dir)
         sub_paths.root.mkdir(parents=True, exist_ok=True)
         sub_cfg = cfg.with_overrides(variant=variant, output_dir=str(sub_root))
         cmd_train(sub_cfg, paths=sub_paths)
-        report = compute_run_report(sub_cfg, sub_paths)
-        row: dict = {"variant": variant}
-        for task in TASKS:
-            task_report = report.tasks[task]["global"]
-            if k not in task_report.recall_at:
-                raise ConfigError(
-                    f"ablation_k={k} not in evaluated K grid {task_report.k_values}"
-                )
-            row[task] = task_report.recall_at[k]
-        rows.append(row)
+        tasks = compute_run_report(sub_cfg, sub_paths)[0]["tasks"]
+        rows.append({"variant": variant, **{t: tasks[t]["global"]["recall_at"][str(k)] for t in TASKS}})
     table = {
         "schema_version": SCHEMA_VERSION,
         "config_hash": cfg.run_hash(),

@@ -9,7 +9,7 @@ Checkpoints use the GCLC binary format (little-endian):
 
     magic "GCLC" | version u16 | config sha256 (32 raw bytes) | seed u64
     | epochs_completed u32 | n_arrays u32
-    then per array (sorted by name):
+    then per array (names strictly ascending):
     name_len u16 | name utf8 | ndim u8 | dims u32 * ndim | float64 data
 
 Arrays hold encoder parameters, AdamW moments ("opt.m.*", "opt.v.*"), and
@@ -297,12 +297,10 @@ def train(
                 f"cannot resume: checkpoint has {ckpt.epochs_completed} epochs completed "
                 f"of {config.epochs} configured"
             )
-        missing = sorted((set(state) | {"opt.step"}) - set(ckpt.arrays))
-        if missing:
-            raise ConfigError(f"checkpoint is missing arrays {missing}")
+        _check_shapes(ckpt, {**{name: arr.shape for name, arr in state.items()}, "opt.step": ()})
         for name, arr in state.items():
             np.copyto(arr, ckpt.arrays[name])
-        opt_state.step = int(ckpt.arrays["opt.step"].item())
+        opt_state.step = int(ckpt.arrays["opt.step"])
         start_epoch = ckpt.epochs_completed
 
     last_epoch = config.epochs if stop_after_epochs is None else stop_after_epochs
@@ -434,10 +432,6 @@ class Checkpoint:
     epochs_completed: int
     arrays: dict[str, np.ndarray]
 
-    def encoder_params(self, prefix: str) -> dict[str, np.ndarray]:
-        skip = len(prefix) + 1
-        return {k[skip:]: v for k, v in self.arrays.items() if k.startswith(prefix + ".")}
-
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a GCLC file; raises FormatError with a byte offset on corruption."""
@@ -464,6 +458,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             name = blob[offset : offset + name_len].decode()
         except UnicodeDecodeError as exc:
             raise FormatError(f"array name is not UTF-8: {exc.reason}", offset=offset + exc.start) from exc
+        if arrays and name <= prev:
+            raise FormatError(f"array {name!r} does not sort after {prev!r}: names must ascend", offset=offset)
+        prev = name
         offset += name_len
         (ndim,) = struct.unpack_from("<B", blob, offset)
         if ndim > 64:  # numpy's limit on array dimensions
@@ -495,16 +492,32 @@ def _check_config_hash(ckpt: Checkpoint, config: TrainConfig) -> None:
         )
 
 
+def _check_shapes(ckpt: Checkpoint, shapes: dict[str, tuple]) -> None:
+    """Each named checkpoint array must exist and have the shape it is restored into."""
+    missing = sorted(set(shapes) - set(ckpt.arrays))
+    if missing:
+        raise ConfigError(f"checkpoint is missing arrays {missing}")
+    for name, shape in shapes.items():
+        if ckpt.arrays[name].shape != shape:
+            raise ConfigError(f"checkpoint array {name!r} has shape {ckpt.arrays[name].shape}, expected {shape}")
+
+
 def model_from_checkpoint(config: TrainConfig, path: str | Path) -> TrainedModel:
     """Rebuild a TrainedModel from a config and its checkpoint file.
 
-    The stored config hash must match the given config.
+    The stored config hash must match the given config, and every stored
+    parameter the shape of a freshly built encoder's.
     """
     ckpt = load_checkpoint(path)
     _check_config_hash(ckpt, config)
-    encoder_cls = LinearEncoder if config.encoder.hidden is None else MlpEncoder
+    template = build_encoder(config.encoder, np.random.default_rng(0))  # only its class and shapes are used
+    shapes = {f"{prefix}.{key}": p.shape for prefix in ("img", "txt") for key, p in template.params.items()}
+    if config.learnable_tau:
+        shapes["log_tau"] = ()
+    _check_shapes(ckpt, shapes)
     image_encoder, text_encoder = (
-        encoder_cls(config.encoder, ckpt.encoder_params(prefix)) for prefix in ("img", "txt")
+        type(template)(config.encoder, {key: ckpt.arrays[f"{prefix}.{key}"] for key in template.params})
+        for prefix in ("img", "txt")
     )
-    tau = float(np.exp(ckpt.arrays["log_tau"])) if "log_tau" in ckpt.arrays else config.loss.tau
+    tau = float(np.exp(ckpt.arrays["log_tau"])) if config.learnable_tau else config.loss.tau
     return TrainedModel(config=config, image_encoder=image_encoder, text_encoder=text_encoder, tau=tau)

@@ -27,6 +27,7 @@ from gcl_lab.evaluation import (
     cosine_by_rank,
     rank_of_ground_truth,
     recall_at_k,
+    report_csv,
 )
 
 from oracles import unit_rows
@@ -250,7 +251,7 @@ class TestRankOfGroundTruth:
         # Order: 6 (1.0), then 4 and 9 tied at 0.6 with 4 first, then 2.
         ranks, _ = rank_of_ground_truth(queries, pool)
         assert ranks == [2]
-        assert build_report(queries, pool, k_values=[1]).gt_cosines == [pytest.approx(0.6)]
+        assert build_report(queries, pool, k_values=[1])["gt_cosines"] == [pytest.approx(0.6)]
 
     def test_histogram_buckets_are_powers_of_two(self):
         rng = np.random.default_rng(6)
@@ -295,7 +296,7 @@ class TestCosines:
         q = Query(id=0, embedding=np.array([0.6, 0.8]), modality=Modality.TEXT)
         queries = QuerySet(queries=[q], ground_truth={0: {0, 1}})
         # id 1 scores 0.8 > 0.6, so the best ground truth is id 1.
-        assert build_report(queries, pool, k_values=[1]).gt_cosines == [pytest.approx(0.8)]
+        assert build_report(queries, pool, k_values=[1])["gt_cosines"] == [pytest.approx(0.8)]
 
     def test_cosine_by_rank_non_increasing_per_query(self):
         # With a single query the mean curve is that query's own sorted
@@ -352,16 +353,16 @@ class TestReport:
         queries = make_query_set(rng, pool, 15, 5, gt_per_query=2)
         report = build_report(queries, pool, k_values=[1, 5, 10])
         for k in (1, 5, 10):
-            assert report.recall_at[k] == pytest.approx(recall_at_k(queries, pool, k))
+            assert report["recall_at"][str(k)] == pytest.approx(recall_at_k(queries, pool, k))
         ranks, hist = rank_of_ground_truth(queries, pool)
-        assert report.ranks == ranks
-        assert report.rank_histogram == hist
+        assert report["ranks"] == ranks
+        assert report["rank_histogram"] == hist
         # the best-ranked ground truth is the one with the highest cosine
         best_gt = [
             max(float(q.embedding @ c.embedding) for c in pool.candidates if c.id in queries.ground_truth[q.id])
             for q in queries.queries
         ]
-        assert report.gt_cosines == pytest.approx(best_gt, abs=1e-12)
+        assert report["gt_cosines"] == pytest.approx(best_gt, abs=1e-12)
 
     def test_one_candidate_pool(self):
         cand = Candidate(id=5, embedding=np.array([0.6, 0.8]), modality=Modality.IMAGE, source_task="t")
@@ -371,10 +372,10 @@ class TestReport:
             ground_truth={0: {5}, 1: {5}},
         )
         report = build_report(queries, pool, k_values=[1])
-        assert report.ranks == [1, 1]
-        assert report.rank_histogram == {"1": 2}
-        assert report.recall_at == {1: 1.0}
-        assert report.gt_cosines == [pytest.approx(0.6), pytest.approx(0.8)]
+        assert report["ranks"] == [1, 1]
+        assert report["rank_histogram"] == {"1": 2}
+        assert report["recall_at"] == {"1": 1.0}
+        assert report["gt_cosines"] == [pytest.approx(0.6), pytest.approx(0.8)]
         assert np.array_equal(cosine_by_rank(queries, pool, 1), oracle_curve(queries, pool, 1))
 
     def test_report_recall_monotone(self):
@@ -382,7 +383,7 @@ class TestReport:
         pool = RetrievalPool(make_candidates(rng, 60, 6), PoolSetting.GLOBAL)
         queries = make_query_set(rng, pool, 20, 6)
         report = build_report(queries, pool, k_values=[1, 5, 10, 20, 50])
-        values = [report.recall_at[k] for k in report.k_values]
+        values = [report["recall_at"][str(k)] for k in report["k_values"]]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
     def test_rank_cap_records_both_conventions(self):
@@ -396,20 +397,22 @@ class TestReport:
         q1 = Query(id=1, embedding=emb[0], modality=Modality.TEXT)  # GT id 2 -> rank 3
         queries = QuerySet(queries=[q0, q1], ground_truth={0: {0}, 1: {2}})
         report = build_report(queries, pool, k_values=[1], rank_cap=2)
-        assert report.ranks == [1, 3]            # raw ranks stay exact
-        assert report.capped_ranks == [1, 2]     # clipped convention
-        assert report.dropped_beyond_cap == 1    # dropped convention
-        assert "rank_cap" in report.to_json_dict()
+        assert report["ranks"] == [1, 3]            # raw ranks stay exact
+        assert report["capped_ranks"] == [1, 2]     # clipped convention
+        assert report["dropped_beyond_cap"] == 1    # dropped convention
+        assert report["rank_cap"] == 2
+        uncapped = build_report(queries, pool, k_values=[1])
+        assert not {"rank_cap", "capped_ranks", "dropped_beyond_cap"} & set(uncapped)
 
     def test_csv_one_row_per_query(self):
         rng = np.random.default_rng(13)
         pool = RetrievalPool(make_candidates(rng, 10, 4), PoolSetting.GLOBAL)
         queries = make_query_set(rng, pool, 5, 4)
         report = build_report(queries, pool, k_values=[1, 5])
-        lines = report.to_csv().strip().split("\n")
+        lines = report_csv(report).strip().split("\n")
         assert lines[0] == "query_id,best_gt_rank,gt_cosine,hit@1,hit@5"
         assert len(lines) == 6
-        for line, rank in zip(lines[1:], report.ranks):
+        for line, rank in zip(lines[1:], report["ranks"]):
             cols = line.split(",")
             assert int(cols[1]) == rank
             assert cols[3] == str(int(rank <= 1))
@@ -422,10 +425,9 @@ class TestReport:
         pool = RetrievalPool(make_candidates(rng, 8, 3), PoolSetting.GLOBAL)
         queries = make_query_set(rng, pool, 3, 3)
         report = build_report(queries, pool, k_values=[1, 2])
-        text = json.dumps(report.to_json_dict(), sort_keys=True)
-        assert text == json.dumps(build_report(queries, pool, k_values=[1, 2]).to_json_dict(), sort_keys=True)
-        parsed = json.loads(text)
-        assert parsed["recall_at"]["2"] == report.recall_at[2]
+        text = json.dumps(report, sort_keys=True)
+        assert text == json.dumps(build_report(queries, pool, k_values=[1, 2]), sort_keys=True)
+        assert json.loads(text) == report
 
 
 class TestBenchmarkScaleAnalog:
@@ -443,10 +445,10 @@ class TestBenchmarkScaleAnalog:
         assert pool.size == 2900
         queries = make_query_set(rng, pool, 250, 8, gt_per_query=1)
         report = build_report(queries, pool, k_values=[1, 5, 10, 20, 50])
-        assert len(report.ranks) == 250
-        values = [report.recall_at[k] for k in report.k_values]
+        assert len(report["ranks"]) == 250
+        values = [report["recall_at"][str(k)] for k in report["k_values"]]
         assert all(a <= b for a, b in zip(values, values[1:]))
-        for q, rank in list(zip(queries.queries, report.ranks))[:5]:
+        for q, rank in list(zip(queries.queries, report["ranks"]))[:5]:
             order = oracle_ranking(q.embedding, pool.candidates)
             assert rank == min(order.index(g) + 1 for g in queries.ground_truth[q.id])
 
@@ -516,9 +518,10 @@ def csv_module_table(report):
     """The per-query table as the csv module writes it."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["query_id", "best_gt_rank", "gt_cosine"] + [f"hit@{k}" for k in report.k_values])
-    for qid, rank, cos in zip(report.query_ids, report.ranks, report.gt_cosines):
-        writer.writerow([qid, rank, f"{cos:.8f}"] + [int(rank <= k) for k in report.k_values])
+    k_values = report["k_values"]
+    writer.writerow(["query_id", "best_gt_rank", "gt_cosine"] + [f"hit@{k}" for k in k_values])
+    for qid, rank, cos in zip(report["query_ids"], report["ranks"], report["gt_cosines"]):
+        writer.writerow([qid, rank, f"{cos:.8f}"] + [int(rank <= k) for k in k_values])
     return buffer.getvalue()
 
 
@@ -529,4 +532,4 @@ def test_csv_matches_csv_module(rank_cap, k_values):
     pool = RetrievalPool(make_candidates(rng, 40, 5), PoolSetting.GLOBAL)
     queries = make_query_set(rng, pool, 90, 5, gt_per_query=2)
     report = build_report(queries, pool, k_values=k_values, rank_cap=rank_cap)
-    assert report.to_csv() == csv_module_table(report)
+    assert report_csv(report) == csv_module_table(report)

@@ -8,6 +8,7 @@ math is covered by the per-module suites.
 import csv
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from gcl_lab.experiment import (
     _encode_eval_views,
     _json_text,
     _query_set_for_task,
+    _write_json,
     cmd_ablate,
     cmd_eval,
     cmd_generate,
@@ -237,7 +239,7 @@ class TestPipeline:
     def test_every_curve_matches_its_own_query_set(self, finished_run):
         # global curves are shared within a query modality, never across them
         cfg, paths = finished_run
-        curves = compute_run_report(cfg, paths).cosine_curves
+        tasks = compute_run_report(cfg, paths)[0]["tasks"]
         candidate_rows, query_rows = _encode_eval_views(cfg, paths)
         banks = _candidate_banks(candidate_rows)
         global_pool = build_global_pool([banks[m] for m in MODALITIES])
@@ -249,7 +251,7 @@ class TestPipeline:
                 for setting, pool in (("global", global_pool), ("local", local_pool)):
                     max_rank = max(k for k in cfg.eval_plan["k_values"] if k <= pool.size)
                     direct = cosine_by_rank(queries, pool, max_rank)
-                    assert np.array_equal(curves[task][setting], direct), (task, setting)
+                    assert np.array_equal(tasks[task][setting]["cosine_by_rank"], direct), (task, setting)
 
 
 def json_native(value) -> bool:
@@ -282,7 +284,7 @@ class TestWriters:
 
     def test_json_writer_matches_json_dumps(self, finished_run):
         cfg, paths = finished_run
-        report = compute_run_report(cfg, paths).to_json_dict()
+        report, _ = compute_run_report(cfg, paths)
         for payload in [report, json.loads(paths.report.read_text()), *self.EDGE_PAYLOADS]:
             assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
         assert paths.report.read_text() == json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -290,13 +292,30 @@ class TestWriters:
     def test_report_dict_is_json_native(self, finished_run):
         # cmd_verify compares it with the parsed report without a JSON round trip
         cfg, paths = finished_run
-        payload = compute_run_report(cfg, paths).to_json_dict()
+        payload, _ = compute_run_report(cfg, paths)
         assert json_native(payload)
         assert payload == json.loads(paths.report.read_text())
 
+    def test_json_write_is_atomic(self, tmp_path, monkeypatch):
+        # a write that dies part-way leaves the old file whole and no temporary file
+        path = tmp_path / "timings.json"
+        _write_json(path, {"generate": {"seconds": 1.0}})
+        old = path.read_bytes()
+
+        def dying_write_text(self, text, *args, **kwargs):
+            with open(self, "w") as fh:
+                fh.write(text[:20])
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", dying_write_text)
+        with pytest.raises(OSError, match="No space"):
+            _write_json(path, {"generate": {"seconds": 1.0}, "train": {"seconds": 2.0}})
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["timings.json"]
+
     def test_pca_csv_matches_csv_module(self, finished_run):
         cfg, paths = finished_run
-        pca = compute_run_report(cfg, paths).pca
+        _, pca = compute_run_report(cfg, paths)
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["x", "y", "modality"])
@@ -523,10 +542,12 @@ class TestAblate:
         assert len(blobs) == len(ABLATION_VARIANTS)
 
     def test_ablation_k_must_be_in_grid(self, tmp_path):
-        cfg = tiny_config(
-            tmp_path / "run", eval={"k_values": [1, 5], "ablation_k": 3}
-        )
-        paths = ExperimentPaths.for_run(cfg.output_dir)
-        cmd_generate(cfg, paths)
-        with pytest.raises(ConfigError, match="ablation_k"):
-            cmd_ablate(cfg, paths)
+        # 3 is not in the grid; 200 is, but the global pool holds 3 * 64 / 2 = 96;
+        # 20 is too, but data generated with 8 eval pairs makes a pool of 12
+        for ablation_k, k_values, eval_pairs in ((3, [1, 5], 64), (200, [1, 5, 200], 64), (20, [1, 5, 20], 8)):
+            cfg = tiny_config(tmp_path / "run", eval={"k_values": k_values, "ablation_k": ablation_k})
+            paths = ExperimentPaths.for_run(cfg.output_dir)
+            cmd_generate(tiny_config(tmp_path / "run", data={**TINY["data"], "eval_pairs": eval_pairs}), paths)
+            with pytest.raises(ConfigError, match=f"ablation_k={ablation_k}"):
+                cmd_ablate(cfg, paths)
+            assert not (paths.root / "ablation").exists()  # rejected before any sub-run trains

@@ -551,6 +551,21 @@ def checkpoint_with_shape(dims, header: bytes | None = None) -> bytes:
     return header + struct.pack("<H", 1) + b"W" + struct.pack(f"<B{len(dims)}I", len(dims), *dims)
 
 
+def checkpoint_with_names(names) -> bytes:
+    """A GCLC file holding one 0-d array per name, in the given order."""
+    header = training._CKPT_HEADER.pack(training.CHECKPOINT_MAGIC, training.CHECKPOINT_VERSION, bytes(32), 0, 0, len(names))
+    arrays = [struct.pack("<H", len(n)) + n.encode() + struct.pack("<Bd", 0, i) for i, n in enumerate(names)]
+    return header + b"".join(arrays)
+
+
+def rewrite_with_bad_shapes(path, config):
+    """Rewrite a checkpoint under the same config hash with txt.W cut to one
+    row and img.b stored as a 0-d array, shapes np.copyto would broadcast."""
+    ckpt = load_checkpoint(path)
+    arrays = {**ckpt.arrays, "txt.W": ckpt.arrays["txt.W"][:1], "img.b": np.array(0.5)}
+    save_checkpoint(path, arrays, config_hash(config), ckpt.seed, ckpt.epochs_completed)
+
+
 class TestCheckpointFormat:
     def test_round_trip(self, tmp_path):
         pairs = small_dataset()
@@ -576,6 +591,26 @@ class TestCheckpointFormat:
         original = model.encode_batch(x_img, x_txt)
         rebuilt = restored.encode_batch(x_img, x_txt)
         assert np.array_equal(original.fused.rows, rebuilt.fused.rows)
+
+    def test_model_from_checkpoint_rejects_wrong_shapes(self, tmp_path):
+        config = small_config()
+        path = tmp_path / "model.gclc"
+        train(config, small_dataset(), checkpoint_path=path)
+        rewrite_with_bad_shapes(path, config)
+        with pytest.raises(ConfigError, match=r"'img.b' has shape \(\), expected \(6,\)"):
+            model_from_checkpoint(config, path)
+
+    @pytest.mark.parametrize("names", [["a", "a"], ["b", "a"]])
+    def test_array_names_must_strictly_ascend(self, tmp_path, names):
+        # the second name starts after the header, one 2-byte length, one
+        # 1-byte name, one ndim byte, 8 data bytes and its own length
+        path = tmp_path / "model.gclc"
+        path.write_bytes(checkpoint_with_names(names))
+        with pytest.raises(FormatError, match="names must ascend") as exc_info:
+            load_checkpoint(path)
+        assert exc_info.value.offset == training._CKPT_HEADER.size + 14
+        path.write_bytes(checkpoint_with_names(["a", "b"]))
+        assert load_checkpoint(path).arrays == {"a": 0.0, "b": 1.0}
 
     def test_config_mismatch_rejected(self, tmp_path):
         pairs = small_dataset()
@@ -663,6 +698,14 @@ class TestResume:
         train(config, pairs, checkpoint_path=tmp_path / "p.gclc", stop_after_epochs=1)
         with pytest.raises(ConfigError, match="hashes to"):
             train(small_config(epochs=3, seed=999), pairs, resume_from=tmp_path / "p.gclc")
+
+    def test_resume_rejects_wrong_shapes(self, tmp_path):
+        pairs = small_dataset()
+        config = small_config(epochs=3)
+        train(config, pairs, checkpoint_path=tmp_path / "p.gclc", stop_after_epochs=1)
+        rewrite_with_bad_shapes(tmp_path / "p.gclc", config)
+        with pytest.raises(ConfigError, match=r"'img.b' has shape \(\), expected \(6,\)"):
+            train(config, pairs, resume_from=tmp_path / "p.gclc")
 
     def test_resume_from_finished_run_rejected(self, tmp_path):
         pairs = small_dataset()
