@@ -5,18 +5,8 @@ defaults are materialized into the stored config so artifacts are fully
 self-describing, and the run hash is the sha256 of that canonical form
 (minus the output directory, which locates a run without identifying it).
 
-One run directory holds everything an experiment produces:
-
-    config.json          materialized config
-    data/train.gcld      training pairs (+ .json sidecar)
-    data/eval.gcld       evaluation pairs, two views per concept
-    data/triplet.gcld    extra pairs for the mixed objective (when used)
-    checkpoint.gclc      final weights + optimizer state
-    train_log.json       one record per optimization step
-    report.json          retrieval metrics + gap diagnostics (deterministic)
-    timings.json         wall-clock numbers (the one nondeterministic file)
-    failure.json         training state at a non-finite gradient (failed runs only)
-    csv/                 per-task per-query tables, projection scatter
+One run directory holds everything an experiment produces, under the names
+in _RUN_FILES.
 
 Evaluation protocol: the eval dataset is generated with duplication 2, so
 each concept has two independently-noised views. View 0 becomes the three
@@ -30,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 from dataclasses import dataclass
 from itertools import repeat
@@ -38,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import read_json, reading, record_timing, write_json, write_text
 from .diagnostics import PcaProjection, modality_gap_table, pca_2d
 from .embeddings import MODALITIES, Modality
 from .errors import ConfigError, FormatError, InvalidDimsError, NonFiniteGradientError
@@ -233,9 +223,26 @@ class ExperimentConfig:
         )
 
 
+# ExperimentPaths attribute -> (its directory attribute, file name)
+_RUN_FILES = {
+    "config": ("root", "config.json"),  # materialized config
+    "train_data": ("data_dir", "train.gcld"),  # training pairs (+ .json sidecar)
+    "eval_data": ("data_dir", "eval.gcld"),  # evaluation pairs, two views per concept
+    "triplet_data": ("data_dir", "triplet.gcld"),  # extra pairs for the mixed objective (when used)
+    "checkpoint": ("root", "checkpoint.gclc"),  # final weights + optimizer state
+    "train_log": ("root", "train_log.json"),  # one record per optimization step
+    "report": ("root", "report.json"),  # retrieval metrics + gap diagnostics (deterministic)
+    "timings": ("root", "timings.json"),  # wall-clock numbers (the one nondeterministic file)
+    "failure": ("root", "failure.json"),  # training state at a non-finite gradient (failed runs only)
+    "csv_dir": ("root", "csv"),  # per-task per-query tables, projection scatter
+    "ablation_json": ("root", "ablation.json"),  # Recall@ablation_k of every loss variant
+    "ablation_csv": ("root", "ablation.csv"),  # the same table as CSV
+}
+
+
 @dataclass(frozen=True)
 class ExperimentPaths:
-    """All artifact locations for one run directory.
+    """All artifact locations for one run directory, by the names in _RUN_FILES.
 
     data_dir may point at another run's data directory so ablation sub-runs
     can share datasets with their parent.
@@ -249,109 +256,17 @@ class ExperimentPaths:
         root = Path(output_dir)
         return cls(root=root, data_dir=Path(data_dir) if data_dir is not None else root / "data")
 
-    @property
-    def config(self) -> Path:
-        return self.root / "config.json"
-
-    @property
-    def train_data(self) -> Path:
-        return self.data_dir / "train.gcld"
-
-    @property
-    def eval_data(self) -> Path:
-        return self.data_dir / "eval.gcld"
-
-    @property
-    def triplet_data(self) -> Path:
-        return self.data_dir / "triplet.gcld"
-
-    @property
-    def checkpoint(self) -> Path:
-        return self.root / "checkpoint.gclc"
-
-    @property
-    def train_log(self) -> Path:
-        return self.root / "train_log.json"
-
-    @property
-    def report(self) -> Path:
-        return self.root / "report.json"
-
-    @property
-    def timings(self) -> Path:
-        return self.root / "timings.json"
-
-    @property
-    def failure(self) -> Path:
-        return self.root / "failure.json"
-
-    @property
-    def csv_dir(self) -> Path:
-        return self.root / "csv"
-
-    @property
-    def ablation_json(self) -> Path:
-        return self.root / "ablation.json"
-
-    @property
-    def ablation_csv(self) -> Path:
-        return self.root / "ablation.csv"
+    def __getattr__(self, name: str) -> Path:
+        if name not in _RUN_FILES:
+            raise AttributeError(name)
+        directory, file_name = _RUN_FILES[name]
+        return getattr(self, directory) / file_name
 
 
-def _json_text(value, pad: str = "") -> str:
-    """json.dumps(value, indent=2, sort_keys=True) nested at indent pad, with
-    each flat list of numbers encoded by the C encoder and then re-indented."""
-    inner = pad + "  "
-    if type(value) is dict and value and all(type(k) is str for k in value):
-        items = (f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items()))
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    if type(value) is list and value and type(value[0]) in (int, float):
-        flat = json.dumps(value)
-        if '"' not in flat and "[" not in flat[1:] and "{" not in flat:  # no strings or containers
-            return "[\n" + inner + flat[1:-1].replace(", ", ",\n" + inner) + "\n" + pad + "]"
-    if not isinstance(value, (dict, list, tuple)):
-        return json.dumps(value)
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    """Write a temporary file beside path, then rename it over path: a process
-    that dies mid-write leaves the old file whole."""
-    text = _json_text(payload) + "\n"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-def _read_json(path: Path, what: str) -> dict:
-    """A JSON-object artifact; raises FormatError when it is not one."""
-    try:
-        text = path.read_bytes().decode("utf-8")
-        payload = json.loads(text)
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{what} {path} is not UTF-8: {exc.reason}", offset=exc.start) from exc
-    except json.JSONDecodeError as exc:
-        offset = len(text[: exc.pos].encode("utf-8"))
-        raise FormatError(f"{what} {path} is not valid JSON: {exc.msg}", offset=offset) from exc
-    if not isinstance(payload, dict):
-        raise FormatError(f"{what} {path} must be a JSON object, got {type(payload).__name__}")
-    return payload
-
-
-def _record_timing(paths: ExperimentPaths, command: str, seconds: float, extra: dict | None = None) -> None:
-    timings = {}
-    if paths.timings.exists():
-        timings = _read_json(paths.timings, "timings")
-    entry: dict = {"seconds": seconds}
-    if extra:
-        entry.update(extra)
-    timings[command] = entry
-    _write_json(paths.timings, timings)
+def _require(path: Path, what: str, command: str) -> None:
+    """A missing input artifact is a usage error: name the command that makes it."""
+    if not path.exists():
+        raise ConfigError(f"{what} {path} does not exist; run the {command} command first")
 
 
 def cmd_generate(cfg: ExperimentConfig, paths: ExperimentPaths | None = None) -> dict:
@@ -369,7 +284,6 @@ def cmd_generate(cfg: ExperimentConfig, paths: ExperimentPaths | None = None) ->
         n_pairs=d["eval_pairs"], k=d["k"], d_in=d["d_in"], sigma=d["sigma"], seed=cfg.seed + 1,
         duplication=2, split="eval", projection_seed=cfg.seed,
     )
-    paths.data_dir.mkdir(parents=True, exist_ok=True)
     write_dataset(train_pairs, train_manifest, paths.train_data)
     write_dataset(eval_pairs, eval_manifest, paths.eval_data)
     summary = {
@@ -384,14 +298,9 @@ def cmd_generate(cfg: ExperimentConfig, paths: ExperimentPaths | None = None) ->
         )
         write_dataset(triplet_pairs, triplet_manifest, paths.triplet_data)
         summary["triplet"] = {"path": str(paths.triplet_data), "n_pairs": triplet_manifest.n_pairs}
-    _write_json(paths.config, cfg.materialized)
-    _record_timing(paths, "generate", time.perf_counter() - started)
+    write_json(paths.config, cfg.materialized)
+    record_timing(paths.timings, "generate", {"seconds": time.perf_counter() - started})
     return summary
-
-
-def _require_dataset(path: Path, what: str) -> None:
-    if not path.exists():
-        raise ConfigError(f"{what} dataset {path} does not exist; run the generate command first")
 
 
 def cmd_train(
@@ -406,7 +315,7 @@ def cmd_train(
     failure.json before the error propagates.
     """
     paths = paths or ExperimentPaths.for_run(cfg.output_dir)
-    _require_dataset(paths.train_data, "training")
+    _require(paths.train_data, "training dataset", "generate")
     train_config = cfg.train_config()
     pairs, manifest = read_dataset(paths.train_data)
     if manifest.d_in != cfg.data["d_in"]:
@@ -415,16 +324,15 @@ def cmd_train(
         )
     second_pairs = None
     if train_config.variant == "gcl_plus_triplet" and train_config.triplet_weight > 0:
-        _require_dataset(paths.triplet_data, "mixed-objective")
+        _require(paths.triplet_data, "mixed-objective dataset", "generate")
         second_pairs, _ = read_dataset(paths.triplet_data)
     resume_from = None
     existing_records = []
     if resume:
-        if not paths.checkpoint.exists():
-            raise ConfigError(f"cannot resume: checkpoint {paths.checkpoint} does not exist")
+        _require(paths.checkpoint, "cannot resume: checkpoint", "train")
         resume_from = paths.checkpoint
         if paths.train_log.exists():  # read before training, so a bad log leaves the checkpoint alone
-            existing_records = _read_json(paths.train_log, "training log").get("records")
+            existing_records = read_json(paths.train_log, "training log").get("records")
             if not isinstance(existing_records, list):
                 raise FormatError(f"training log {paths.train_log} has no list of records")
 
@@ -441,21 +349,17 @@ def cmd_train(
         )
     except NonFiniteGradientError as exc:
         if exc.state_dump is not None:
-            _write_json(paths.failure, exc.state_dump)
+            write_json(paths.failure, exc.state_dump)
         raise
     elapsed = time.perf_counter() - started
     records = existing_records + log
-    _write_json(
-        paths.train_log,
-        {"config_hash": config_hash(train_config), "records": records},
-    )
-    _write_json(paths.config, cfg.materialized)
+    write_json(paths.train_log, {"config_hash": config_hash(train_config), "records": records})
+    write_json(paths.config, cfg.materialized)
     ckpt = load_checkpoint(paths.checkpoint)
-    _record_timing(
-        paths,
+    record_timing(
+        paths.timings,
         "train",
-        elapsed,
-        extra={"steps": len(log), "steps_per_second": len(log) / elapsed if elapsed > 0 else None},
+        {"seconds": elapsed, "steps": len(log), "steps_per_second": len(log) / elapsed if elapsed > 0 else None},
     )
     return {
         "checkpoint": str(paths.checkpoint),
@@ -467,15 +371,15 @@ def cmd_train(
 
 def _encode_eval_views(cfg: ExperimentConfig, paths: ExperimentPaths):
     """Encode the eval dataset and split it into candidate/query views."""
-    _require_dataset(paths.eval_data, "evaluation")
-    if not paths.checkpoint.exists():
-        raise ConfigError(f"checkpoint {paths.checkpoint} does not exist; run the train command first")
+    _require(paths.eval_data, "evaluation dataset", "generate")
+    _require(paths.checkpoint, "checkpoint", "train")
     train_config = cfg.train_config()
     model = model_from_checkpoint(train_config, paths.checkpoint)
     pairs, manifest = read_dataset(paths.eval_data)
     if manifest.duplication != 2:
         raise FormatError(
-            f"evaluation dataset must have duplication 2 (candidate/query views), got {manifest.duplication}"
+            f"evaluation dataset {paths.eval_data} must have duplication 2 (candidate/query views), "
+            f"got {manifest.duplication}"
         )
     _, x_img, x_txt = dataset_to_arrays(pairs)
     batch = model.encode_batch(x_img, x_txt)
@@ -570,14 +474,13 @@ def cmd_eval(cfg: ExperimentConfig, paths: ExperimentPaths | None = None) -> dic
     paths = paths or ExperimentPaths.for_run(cfg.output_dir)
     started = time.perf_counter()
     payload, pca = compute_run_report(cfg, paths)
-    _write_json(paths.report, payload)
-    paths.csv_dir.mkdir(parents=True, exist_ok=True)
+    write_json(paths.report, payload)
     for task, by_setting in payload["tasks"].items():
         for setting, task_report in by_setting.items():
             stem = f"{setting}_{task.replace('->', '_to_')}"
-            (paths.csv_dir / f"{stem}.csv").write_text(report_csv(task_report))
-    (paths.csv_dir / "pca_projection.csv").write_text(pca.to_csv())
-    _record_timing(paths, "eval", time.perf_counter() - started)
+            write_text(paths.csv_dir / f"{stem}.csv", report_csv(task_report))
+    write_text(paths.csv_dir / "pca_projection.csv", pca.to_csv())
+    record_timing(paths.timings, "eval", {"seconds": time.perf_counter() - started})
     return payload
 
 
@@ -587,9 +490,8 @@ def cmd_verify(cfg: ExperimentConfig, paths: ExperimentPaths | None = None) -> d
     Returns {"ok": True} or raises FormatError naming the first mismatch.
     """
     paths = paths or ExperimentPaths.for_run(cfg.output_dir)
-    if not paths.report.exists():
-        raise ConfigError(f"report {paths.report} does not exist; run the eval command first")
-    stored = _read_json(paths.report, "report")
+    _require(paths.report, "report", "eval")
+    stored = read_json(paths.report, "report")
     recomputed, _ = compute_run_report(cfg, paths)  # JSON-native, so no round trip
     if stored == recomputed:
         return {"ok": True, "config_hash": recomputed["config_hash"]}
@@ -630,8 +532,8 @@ def cmd_ablate(cfg: ExperimentConfig, paths: ExperimentPaths | None = None) -> d
     datasets. The table reports global-pool Recall@ablation_k for every task.
     """
     paths = paths or ExperimentPaths.for_run(cfg.output_dir)
-    _require_dataset(paths.train_data, "training")
-    _require_dataset(paths.eval_data, "evaluation")
+    _require(paths.train_data, "training dataset", "generate")
+    _require(paths.eval_data, "evaluation dataset", "generate")
     _, eval_manifest = read_dataset(paths.eval_data)  # the pool is what is on disk, not what cfg.data says
     k, pool_size = cfg.eval_plan["ablation_k"], 3 * eval_manifest.n_pairs // 2
     if k not in cfg.eval_plan["k_values"] or k > pool_size:
@@ -644,7 +546,6 @@ def cmd_ablate(cfg: ExperimentConfig, paths: ExperimentPaths | None = None) -> d
     for variant in ABLATION_VARIANTS:
         sub_root = paths.root / "ablation" / variant.replace(":", "_")
         sub_paths = ExperimentPaths.for_run(sub_root, data_dir=paths.data_dir)
-        sub_paths.root.mkdir(parents=True, exist_ok=True)
         sub_cfg = cfg.with_overrides(variant=variant, output_dir=str(sub_root))
         cmd_train(sub_cfg, paths=sub_paths)
         tasks = compute_run_report(sub_cfg, sub_paths)[0]["tasks"]
@@ -657,43 +558,61 @@ def cmd_ablate(cfg: ExperimentConfig, paths: ExperimentPaths | None = None) -> d
         "tasks": list(TASKS),
         "rows": rows,
     }
-    _write_json(paths.ablation_json, table)
+    write_json(paths.ablation_json, table)
     lines = ["variant," + ",".join(TASKS)]
     for row in rows:
         lines.append(row["variant"] + "," + ",".join(f"{row[t]:.6f}" for t in TASKS))
-    paths.ablation_csv.write_text("\n".join(lines) + "\n")
-    _record_timing(paths, "ablate", time.perf_counter() - started)
+    write_text(paths.ablation_csv, "\n".join(lines) + "\n")
+    record_timing(paths.timings, "ablate", {"seconds": time.perf_counter() - started})
     return table
 
 
+def _report_field(payload: dict, *keys: str, kind: tuple = (int, float)):
+    """payload[keys[0]][keys[1]]...; raises FormatError unless it is there and of a type in kind."""
+    value = payload
+    for depth, key in enumerate(keys):
+        if type(value) is not dict or key not in value:
+            raise FormatError(f"report has no field {'.'.join(keys[: depth + 1])}")
+        value = value[key]
+    if type(value) not in kind:
+        expected = " or ".join(t.__name__ for t in kind)
+        raise FormatError(f"report field {'.'.join(keys)} is a {type(value).__name__}, expected {expected}")
+    return value
+
+
 def format_report_summary(payload: dict) -> str:
-    """Render a stored report as a fixed-width text table."""
+    """Render a stored report as a fixed-width text table.
+
+    Raises FormatError when a field it reads is missing or has the wrong type.
+    """
+    tasks = _report_field(payload, "tasks", kind=(dict,))
+    recalls = {
+        (task, setting): _report_field(payload, "tasks", task, setting, "recall_at", kind=(dict,))
+        for task in sorted(tasks)
+        for setting in ("global", "local")
+    }
+    for (task, setting), recall_at in recalls.items():
+        for k, value in recall_at.items():
+            if not k.isdecimal() or type(value) not in (int, float):
+                raise FormatError(f"report field tasks.{task}.{setting}.recall_at.{k} is not a number at a K")
+    ratio = _report_field(payload, "pca", "explained_variance_ratio", kind=(list,))
+    if len(ratio) < 2 or not all(type(r) in (int, float) for r in ratio[:2]):
+        raise FormatError("report field pca.explained_variance_ratio does not start with two numbers")
     lines = [
-        f"variant: {payload['variant']}    seed: {payload['seed']}",
-        f"config:  {payload['config_hash'][:16]}...",
+        f"variant: {_report_field(payload, 'variant', kind=(str,))}    "
+        f"seed: {_report_field(payload, 'seed', kind=(int,))}",
+        f"config:  {_report_field(payload, 'config_hash', kind=(str,))[:16]}...",
         "",
     ]
-    tasks = payload["tasks"]
-    k_strings: list[str] = []
-    for by_setting in tasks.values():
-        for report in by_setting.values():
-            k_strings = sorted(report["recall_at"], key=int)
-            break
-        break
+    k_strings = sorted(next(iter(recalls.values()), {}), key=int)
     header = f"{'task':14s} {'setting':8s}" + "".join(f"  R@{k:>3s}" for k in k_strings)
     lines.append(header)
     lines.append("-" * len(header))
-    for task in sorted(tasks):
-        for setting in ("global", "local"):
-            report = tasks[task][setting]
-            cells = "".join(
-                f"  {report['recall_at'].get(k, float('nan')):.3f}" for k in k_strings
-            )
-            lines.append(f"{task:14s} {setting:8s}{cells}")
-    gap = payload["gap"]
+    for (task, setting), recall_at in recalls.items():
+        cells = "".join(f"  {recall_at.get(k, float('nan')):.3f}" for k in k_strings)
+        lines.append(f"{task:14s} {setting:8s}{cells}")
     lines.append("")
-    lines.append(f"min cross-modality mean cosine: {gap['min_cross_modality_cosine']:.4f}")
-    ratio = payload["pca"]["explained_variance_ratio"]
+    lines.append(f"min cross-modality mean cosine: {_report_field(payload, 'gap', 'min_cross_modality_cosine'):.4f}")
     lines.append(f"top-2 explained variance: {ratio[0]:.3f} + {ratio[1]:.3f}")
     return "\n".join(lines)
 
@@ -701,6 +620,7 @@ def format_report_summary(payload: dict) -> str:
 def cmd_report(cfg: ExperimentConfig, paths: ExperimentPaths | None = None) -> str:
     """Summarize an existing report.json as human-readable text."""
     paths = paths or ExperimentPaths.for_run(cfg.output_dir)
-    if not paths.report.exists():
-        raise ConfigError(f"report {paths.report} does not exist; run the eval command first")
-    return format_report_summary(_read_json(paths.report, "report"))
+    _require(paths.report, "report", "eval")
+    payload = read_json(paths.report, "report")
+    with reading(paths.report):
+        return format_report_summary(payload)

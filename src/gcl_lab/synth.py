@@ -27,13 +27,13 @@ binary header does not).
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import read_header, read_json, reading, write_atomic, write_json
 from .errors import ConfigError, FormatError, InvalidDimsError
 
 MAGIC = b"GCLD"
@@ -181,21 +181,11 @@ def write_dataset(pairs: np.ndarray, manifest: DatasetManifest, path: str | Path
         raise ConfigError(f"pairs must be an array of GCLD records {dtype}")
     if pairs.shape != (manifest.n_pairs,):
         raise ConfigError(f"manifest says {manifest.n_pairs} pairs, got shape {pairs.shape}")
-    with open(path, "wb") as fh:
-        fh.write(
-            _HEADER.pack(
-                MAGIC,
-                FORMAT_VERSION,
-                manifest.d_in,
-                manifest.n_pairs,
-                manifest.k,
-                manifest.sigma,
-                manifest.seed,
-            )
-        )
-        pairs.tofile(fh)  # the records' own bytes, without a copy
-    sidecar = {"format": "gcld-manifest", "version": FORMAT_VERSION, **asdict(manifest)}
-    _sidecar_path(path).write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    header = _HEADER.pack(
+        MAGIC, FORMAT_VERSION, manifest.d_in, manifest.n_pairs, manifest.k, manifest.sigma, manifest.seed
+    )
+    write_atomic(path, (header, pairs))  # the records' own bytes, without a copy
+    write_json(_sidecar_path(path), {"format": "gcld-manifest", "version": FORMAT_VERSION, **asdict(manifest)})
 
 
 def read_dataset(path: str | Path) -> tuple[np.recarray, DatasetManifest]:
@@ -211,60 +201,50 @@ def read_dataset(path: str | Path) -> tuple[np.recarray, DatasetManifest]:
     """
     path = Path(path)
     blob = path.read_bytes()
-    if len(blob) < _HEADER.size:
-        raise FormatError(f"truncated header: need {_HEADER.size} bytes, file has {len(blob)}", offset=len(blob))
-    magic, version, d_in, n_pairs, k, sigma, seed = _HEADER.unpack_from(blob, 0)
-    if magic != MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
-    if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported format version {version}", offset=4)
-    if d_in < 1:
-        raise FormatError(f"header d_in must be >= 1, got {d_in}", offset=6)
-    if k < 1 or k > d_in:
-        raise FormatError(f"header k={k} inconsistent with d_in={d_in}", offset=14)
-
-    try:
-        dtype = record_dtype(d_in)
-    except ValueError as exc:  # d_in too large for a NumPy record
-        raise FormatError(f"header d_in={d_in} is not a readable record width: {exc}", offset=6) from exc
-    expected = _HEADER.size + n_pairs * dtype.itemsize
-    if len(blob) != expected:
-        raise FormatError(
-            f"payload size mismatch: header implies {expected} bytes, file has {len(blob)}",
-            offset=min(len(blob), expected),
-        )
+    with reading(path):
+        d_in, n_pairs, k, sigma, seed = read_header(blob, _HEADER, MAGIC, FORMAT_VERSION)
+        if d_in < 1:
+            raise FormatError(f"header d_in must be >= 1, got {d_in}", offset=6)
+        if k < 1 or k > d_in:
+            raise FormatError(f"header k={k} inconsistent with d_in={d_in}", offset=14)
+        try:
+            dtype = record_dtype(d_in)
+        except ValueError as exc:  # d_in too large for a NumPy record
+            raise FormatError(f"header d_in={d_in} is not a readable record width: {exc}", offset=6) from exc
+        expected = _HEADER.size + n_pairs * dtype.itemsize
+        if len(blob) != expected:
+            raise FormatError(
+                f"payload size mismatch: header implies {expected} bytes, file has {len(blob)}",
+                offset=min(len(blob), expected),
+            )
     pairs = np.frombuffer(blob, dtype=dtype, offset=_HEADER.size).view(np.recarray)
 
     split, duplication, projection_seed = "train", 1, seed
     sidecar_path = _sidecar_path(path)
     if sidecar_path.exists():
-        try:
-            sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
-        except ValueError as exc:  # also UnicodeDecodeError
-            raise FormatError(f"sidecar {sidecar_path} is not valid UTF-8 JSON: {exc}") from exc
-        if not isinstance(sidecar, dict):
-            raise FormatError(f"sidecar {sidecar_path} must be a JSON object, got {type(sidecar).__name__}")
-        for field_name, header_value in (("n_pairs", n_pairs), ("d_in", d_in), ("k", k), ("seed", seed)):
-            if sidecar.get(field_name) != header_value:
-                raise FormatError(
-                    f"sidecar {field_name}={sidecar.get(field_name)} disagrees with header {header_value}"
-                )
-        sidecar_sigma = sidecar.get("sigma")
-        with np.errstate(over="ignore"):  # a huge sigma rounds to inf and mismatches
-            sigma_agrees = type(sidecar_sigma) in (int, float) and float(np.float32(sidecar_sigma)) == sigma
-        if not sigma_agrees:
-            raise FormatError(f"sidecar sigma={sidecar_sigma!r} disagrees with header {sigma}")
-        split = sidecar.get("split", "train")
-        if split not in SPLITS:
-            raise FormatError(f"sidecar split must be one of {SPLITS}, got {split!r}")
-        duplication = sidecar.get("duplication", 1)
-        if type(duplication) is not int or duplication < 1:
-            raise FormatError(f"sidecar duplication must be an int >= 1, got {duplication!r}")
-        projection_seed = sidecar.get("projection_seed")
-        if projection_seed is None:
-            projection_seed = seed
-        elif type(projection_seed) is not int:
-            raise FormatError(f"sidecar projection_seed must be an int or null, got {projection_seed!r}")
+        sidecar = read_json(sidecar_path, "sidecar")
+        with reading(sidecar_path):
+            for field_name, header_value in (("n_pairs", n_pairs), ("d_in", d_in), ("k", k), ("seed", seed)):
+                if sidecar.get(field_name) != header_value:
+                    raise FormatError(
+                        f"sidecar {field_name}={sidecar.get(field_name)} disagrees with header {header_value}"
+                    )
+            sidecar_sigma = sidecar.get("sigma")
+            with np.errstate(over="ignore"):  # a huge sigma rounds to inf and mismatches
+                sigma_agrees = type(sidecar_sigma) in (int, float) and float(np.float32(sidecar_sigma)) == sigma
+            if not sigma_agrees:
+                raise FormatError(f"sidecar sigma={sidecar_sigma!r} disagrees with header {sigma}")
+            split = sidecar.get("split", "train")
+            if split not in SPLITS:
+                raise FormatError(f"sidecar split must be one of {SPLITS}, got {split!r}")
+            duplication = sidecar.get("duplication", 1)
+            if type(duplication) is not int or duplication < 1:
+                raise FormatError(f"sidecar duplication must be an int >= 1, got {duplication!r}")
+            projection_seed = sidecar.get("projection_seed")
+            if projection_seed is None:
+                projection_seed = seed
+            elif type(projection_seed) is not int:
+                raise FormatError(f"sidecar projection_seed must be an int or null, got {projection_seed!r}")
     manifest = DatasetManifest(
         n_pairs=n_pairs,
         d_in=d_in,

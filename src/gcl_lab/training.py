@@ -30,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import read_header, reading, write_atomic
 from .embeddings import Modality, fuse_sum_rows, normalize_rows, normalize_rows_backward
 from .encoders import EncoderConfig, build_encoder, LinearEncoder, MlpEncoder
 from .errors import (
@@ -400,27 +401,17 @@ def save_checkpoint(
     epochs_completed: int,
 ) -> None:
     """Write named float64 arrays in the GCLC binary format, sorted by name."""
-    path = Path(path)
-    with open(path, "wb") as fh:
-        fh.write(
-            _CKPT_HEADER.pack(
-                CHECKPOINT_MAGIC,
-                CHECKPOINT_VERSION,
-                bytes.fromhex(cfg_hash),
-                seed,
-                epochs_completed,
-                len(arrays),
-            )
+    chunks = [
+        _CKPT_HEADER.pack(
+            CHECKPOINT_MAGIC, CHECKPOINT_VERSION, bytes.fromhex(cfg_hash), seed, epochs_completed, len(arrays)
         )
-        for name in sorted(arrays):
-            arr = np.asarray(arrays[name], dtype="<f8")
-            encoded = name.encode()
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", arr.ndim))
-            for dim in arr.shape:
-                fh.write(struct.pack("<I", dim))
-            fh.write(arr.tobytes())
+    ]
+    for name in sorted(arrays):
+        arr = np.asarray(arrays[name], dtype="<f8")
+        encoded = name.encode()
+        chunks.append(struct.pack(f"<H{len(encoded)}sB{arr.ndim}I", len(encoded), encoded, arr.ndim, *arr.shape))
+        chunks.append(arr.tobytes())
+    write_atomic(path, chunks)
 
 
 @dataclass(frozen=True)
@@ -436,48 +427,42 @@ class Checkpoint:
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a GCLC file; raises FormatError with a byte offset on corruption."""
     blob = Path(path).read_bytes()
-    if len(blob) < _CKPT_HEADER.size:
-        raise FormatError(
-            f"truncated header: need {_CKPT_HEADER.size} bytes, file has {len(blob)}", offset=len(blob)
-        )
-    magic, version, hash_raw, seed, epochs_completed, n_arrays = _CKPT_HEADER.unpack_from(blob, 0)
-    if magic != CHECKPOINT_MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}", offset=0)
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version}", offset=4)
-    arrays: dict[str, np.ndarray] = {}
-    offset = _CKPT_HEADER.size
-    for _ in range(n_arrays):
-        if offset + 2 > len(blob):
-            raise FormatError("truncated array name length", offset=offset)
-        (name_len,) = struct.unpack_from("<H", blob, offset)
-        offset += 2
-        if offset + name_len + 1 > len(blob):
-            raise FormatError("truncated array name", offset=offset)
-        try:
-            name = blob[offset : offset + name_len].decode()
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"array name is not UTF-8: {exc.reason}", offset=offset + exc.start) from exc
-        if arrays and name <= prev:
-            raise FormatError(f"array {name!r} does not sort after {prev!r}: names must ascend", offset=offset)
-        prev = name
-        offset += name_len
-        (ndim,) = struct.unpack_from("<B", blob, offset)
-        if ndim > 64:  # numpy's limit on array dimensions
-            raise FormatError(f"array {name!r} has {ndim} dimensions, at most 64 are supported", offset=offset)
-        offset += 1
-        if offset + 4 * ndim > len(blob):
-            raise FormatError(f"truncated shape for array {name!r}", offset=offset)
-        shape = struct.unpack_from(f"<{ndim}I", blob, offset)
-        offset += 4 * ndim
-        nbytes = 8 * math.prod(shape)  # Python ints: a product of large dims cannot wrap
-        if offset + nbytes > len(blob):
-            raise FormatError(f"truncated data for array {name!r}", offset=offset)
-        arr = np.frombuffer(blob[offset : offset + nbytes], dtype="<f8").reshape(shape).copy()
-        offset += nbytes
-        arrays[name] = arr
-    if offset != len(blob):
-        raise FormatError(f"{len(blob) - offset} trailing bytes after last array", offset=offset)
+    with reading(path):
+        header = read_header(blob, _CKPT_HEADER, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+        hash_raw, seed, epochs_completed, n_arrays = header
+        arrays: dict[str, np.ndarray] = {}
+        offset = _CKPT_HEADER.size
+        for _ in range(n_arrays):
+            if offset + 2 > len(blob):
+                raise FormatError("truncated array name length", offset=offset)
+            (name_len,) = struct.unpack_from("<H", blob, offset)
+            offset += 2
+            if offset + name_len + 1 > len(blob):
+                raise FormatError("truncated array name", offset=offset)
+            try:
+                name = blob[offset : offset + name_len].decode()
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"array name is not UTF-8: {exc.reason}", offset=offset + exc.start) from exc
+            if arrays and name <= prev:
+                raise FormatError(f"array {name!r} does not sort after {prev!r}: names must ascend", offset=offset)
+            prev = name
+            offset += name_len
+            (ndim,) = struct.unpack_from("<B", blob, offset)
+            if ndim > 64:  # numpy's limit on array dimensions
+                raise FormatError(f"array {name!r} has {ndim} dimensions, at most 64 are supported", offset=offset)
+            offset += 1
+            if offset + 4 * ndim > len(blob):
+                raise FormatError(f"truncated shape for array {name!r}", offset=offset)
+            shape = struct.unpack_from(f"<{ndim}I", blob, offset)
+            offset += 4 * ndim
+            nbytes = 8 * math.prod(shape)  # Python ints: a product of large dims cannot wrap
+            if offset + nbytes > len(blob):
+                raise FormatError(f"truncated data for array {name!r}", offset=offset)
+            arr = np.frombuffer(blob[offset : offset + nbytes], dtype="<f8").reshape(shape).copy()
+            offset += nbytes
+            arrays[name] = arr
+        if offset != len(blob):
+            raise FormatError(f"{len(blob) - offset} trailing bytes after last array", offset=offset)
     return Checkpoint(
         config_hash=hash_raw.hex(), seed=seed, epochs_completed=epochs_completed, arrays=arrays
     )

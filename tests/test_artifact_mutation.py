@@ -12,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 import gcl_lab.synth as synth
 import gcl_lab.training as training
+from gcl_lab.artifacts import read_json
 from gcl_lab.errors import ConfigError, FormatError
-from gcl_lab.experiment import ExperimentConfig, ExperimentPaths, _read_json, cmd_eval, cmd_generate, cmd_train
+from gcl_lab.experiment import ExperimentConfig, ExperimentPaths, cmd_eval, cmd_generate, cmd_train
 
 TINY = {
     "data": {"n_pairs": 64, "eval_pairs": 32, "d_in": 8, "k": 4},
@@ -56,7 +57,7 @@ def read_dataset(cfg, path):
 
 
 def json_reader(what):
-    return lambda cfg, path: _read_json(path, what)
+    return lambda cfg, path: read_json(path, what)
 
 
 # format -> (the run's file, offsets where its layout lives or None for all, reader of the mutated copy)

@@ -5,8 +5,10 @@ test confirms the installed console script wires up to the same entry.
 """
 
 import json
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -181,24 +183,57 @@ class TestWorkflow:
         assert "train" in result.stdout
 
 
-class TestCorruptDatasetSidecar:
-    def test_undecodable_sidecar_exits_one_with_message(self, tiny_cfg, tmp_path, capsys):
-        assert run_cli("generate", "--config", str(tiny_cfg)) == 0
-        (tmp_path / "run" / "data" / "train.gcld.json").write_bytes(b"\x80{")
-        assert run_cli("train", "--config", str(tiny_cfg)) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert "train.gcld.json is not valid UTF-8 JSON" in err
+def with_report_field(edit):
+    """A corruption of report.json that parses but breaks one field the summary reads."""
+
+    def corrupt(blob: bytes) -> bytes:
+        payload = json.loads(blob)
+        edit(payload)
+        return json.dumps(payload).encode()
+
+    return corrupt
 
 
-class TestCorruptReport:
-    def test_truncated_report_exits_one_with_message(self, tiny_cfg, tmp_path, capsys):
-        for command in ("generate", "train", "eval"):
-            assert run_cli(command, "--config", str(tiny_cfg)) == 0
-        report = tmp_path / "run" / "report.json"
-        report.write_bytes(report.read_bytes()[:-50])
-        capsys.readouterr()
-        assert run_cli("verify", "--config", str(tiny_cfg)) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert "report.json is not valid JSON" in err
+def rename_variant(payload):
+    payload["varianu"] = payload.pop("variant")
+
+
+def recall_as_list(payload):
+    payload["tasks"]["q_i->c_t"]["local"]["recall_at"] = [0.5, 0.75]
+
+
+# case -> (file in the run directory, corruption, command that reads it)
+CORRUPT_ARTIFACTS = {
+    "gcld-magic": ("data/eval.gcld", lambda blob: b"XXXX" + blob[4:], ["eval"]),
+    "sidecar-undecodable": ("data/train.gcld.json", lambda blob: b"\x80{", ["train"]),
+    "gclc-version": ("checkpoint.gclc", lambda blob: blob[:4] + b"\x09\x00" + blob[6:], ["eval"]),
+    "train-log-truncated": ("train_log.json", lambda blob: blob[:-50], ["train", "--resume"]),
+    "report-truncated-verify": ("report.json", lambda blob: blob[:-50], ["verify"]),
+    "report-truncated-report": ("report.json", lambda blob: blob[:-50], ["report"]),
+    "report-missing-variant": ("report.json", with_report_field(rename_variant), ["report"]),
+    "report-recall-at-list": ("report.json", with_report_field(recall_as_list), ["report"]),
+    "timings-truncated": ("timings.json", lambda blob: blob[:-5], ["eval"]),
+}
+
+
+@pytest.fixture(scope="module")
+def evaluated_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("evaluated")
+    cfg = root / "cfg.json"
+    cfg.write_text(json.dumps({**TINY, "output_dir": str(root / "run")}))
+    for command in ("generate", "train", "eval"):
+        assert run_cli(command, "--config", str(cfg)) == 0
+    return cfg, root / "run"
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT_ARTIFACTS))
+def test_corrupt_artifact_exits_one_naming_the_file(evaluated_run, case, tmp_path, capsys):
+    cfg, run = evaluated_run
+    name, corrupt, command = CORRUPT_ARTIFACTS[case]
+    copy = tmp_path / "run"
+    shutil.copytree(run, copy)
+    (copy / name).write_bytes(corrupt((copy / name).read_bytes()))
+    capsys.readouterr()
+    assert run_cli(*command, "--config", str(cfg), "--out", str(copy)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and Path(name).name in err, err

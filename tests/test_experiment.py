@@ -8,12 +8,12 @@ math is covered by the per-module suites.
 import csv
 import io
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gcl_lab.training as training
+from gcl_lab.artifacts import _json_text
 from gcl_lab.embeddings import MODALITIES
 from gcl_lab.errors import ConfigError, FormatError, InvalidDimsError, NonFiniteGradientError
 from gcl_lab.evaluation import build_global_pool, build_local_pool, cosine_by_rank
@@ -25,9 +25,7 @@ from gcl_lab.experiment import (
     ExperimentPaths,
     _candidate_banks,
     _encode_eval_views,
-    _json_text,
     _query_set_for_task,
-    _write_json,
     cmd_ablate,
     cmd_eval,
     cmd_generate,
@@ -295,23 +293,6 @@ class TestWriters:
         payload, _ = compute_run_report(cfg, paths)
         assert json_native(payload)
         assert payload == json.loads(paths.report.read_text())
-
-    def test_json_write_is_atomic(self, tmp_path, monkeypatch):
-        # a write that dies part-way leaves the old file whole and no temporary file
-        path = tmp_path / "timings.json"
-        _write_json(path, {"generate": {"seconds": 1.0}})
-        old = path.read_bytes()
-
-        def dying_write_text(self, text, *args, **kwargs):
-            with open(self, "w") as fh:
-                fh.write(text[:20])
-            raise OSError(28, "No space left on device")
-
-        monkeypatch.setattr(Path, "write_text", dying_write_text)
-        with pytest.raises(OSError, match="No space"):
-            _write_json(path, {"generate": {"seconds": 1.0}, "train": {"seconds": 2.0}})
-        assert path.read_bytes() == old
-        assert [p.name for p in tmp_path.iterdir()] == ["timings.json"]
 
     def test_pca_csv_matches_csv_module(self, finished_run):
         cfg, paths = finished_run
