@@ -4,23 +4,25 @@ Similarity is the raw dot product on unit-norm embeddings (cosine). Ranking
 is exhaustive over the pool with ties broken by ascending candidate id, so
 results are reproducible regardless of insertion order or platform. Two pool
 settings exist: a Local pool holds one (modality, task) bank, a Global pool
-mixes candidate banks freely.
+stacks candidate banks, each bank a range of its columns.
 
-Every metric runs on one scoring path: a query set's rows are stacked once
-(QuerySet.rows) and scored against the pool matrix in blocks of _BLOCK
-queries, one gemm per block, as in blocked exact flat search (Johnson et
-al., arXiv 1702.08734). A ground-truth rank is counted from the scores, not
-sorted for; the id tie-break is evaluated only on rows with a tied score.
-Only the head of each row that cosine_by_rank reports is sorted, and a
-curve depends on the query rows and pool alone, not on the ground truth.
-Reported cosines are per-pair dot products, bit-identical to ``candidate @ query``.
+Every metric comes from one scoring pass (_pass): query rows are scored
+against the whole pool in row blocks of about _BLOCK_BYTES, one gemm each, as
+in blocked exact flat search (Johnson et al., arXiv 1702.08734), and every
+ranking is read off the block. A bank's head (its best max_rank columns, best
+first) is one argpartition, and the pool's head is taken from the union of
+the bank heads, which holds it; a row with a tie inside a head or across its
+cut takes its full (score, id) order. A ground truth's rank is its place in
+the head, and only rows whose ground truth falls outside are counted,
+1 + #(s > s_g) + #(s == s_g and id < id_g). Cosines are per-pair dot products,
+bit-identical to ``candidate @ query``; the pool head's are gathered from the
+bank heads'. rank_banks makes one pass for a query modality's tasks, one per
+bank, and build_report and cosine_by_rank read each task's entries off it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
@@ -35,13 +37,8 @@ from .errors import (
     ShapeMismatchError,
 )
 
-# Queries scored per gemm; bounds the score block at _BLOCK x pool size.
-_BLOCK = 64
-
-
-class PoolSetting(Enum):
-    GLOBAL = "global"
-    LOCAL = "local"
+# Bytes of one score block, which holds _BLOCK_BYTES // (8 * pool size) query rows.
+_BLOCK_BYTES = 1 << 20
 
 
 class Candidate(NamedTuple):
@@ -60,71 +57,74 @@ class Query(NamedTuple):
     modality: Modality
 
 
-class RetrievalPool:
-    """An immutable candidate set with cached id/embedding arrays."""
+class Bank(NamedTuple):
+    """One candidate bank as arrays: candidate ids and their unit-norm rows."""
 
-    def __init__(self, candidates: Sequence[Candidate], setting: PoolSetting):
-        candidates = list(candidates)
-        if not candidates:
+    ids: np.ndarray
+    rows: np.ndarray
+
+
+def _bank(candidates: Bank | Iterable[Candidate]) -> Bank:
+    if isinstance(candidates, Bank):
+        return candidates
+    candidates = list(candidates)
+    return Bank(np.array([c.id for c in candidates], dtype=np.int64), [c.embedding for c in candidates])
+
+
+class RetrievalPool:
+    """Candidate banks stacked into one matrix: ids, rows, each bank's column
+    range, and the setting, "global" or "local"."""
+
+    def __init__(self, banks: Sequence[Bank], setting: str):
+        banks = [bank for bank in banks if len(bank.ids)]
+        if not banks:
             raise EmptyPoolError("pool needs at least one candidate")
-        ids, embeddings, modalities, tasks = zip(*candidates)
-        ids = np.array(ids, dtype=np.int64)
-        unique, counts = np.unique(ids, return_counts=True)
+        self.ids = np.concatenate([bank.ids for bank in banks])
+        unique, counts = np.unique(self.ids, return_counts=True)
         if counts.max() > 1:
             raise DuplicateIdError(f"candidate id {unique[counts > 1][0]} appears more than once")
         try:
-            matrix = np.stack(embeddings).astype(np.float64, copy=False)
+            self.matrix = np.concatenate([bank.rows for bank in banks]).astype(np.float64, copy=False)
         except ValueError:
-            matrix = None
-        if matrix is None or matrix.ndim != 2:
-            dims = sorted({np.shape(e) for e in embeddings})
+            self.matrix = None
+        if self.matrix is None or self.matrix.shape != (len(self.ids), self.matrix.shape[-1]):
+            dims = sorted({np.shape(row) for bank in banks for row in bank.rows})
             raise ShapeMismatchError(f"candidate embeddings must share one 1-D shape, got {dims}")
-        if setting is PoolSetting.LOCAL:
-            combos = set(zip(modalities, tasks))
-            if len(combos) != 1:
-                raise ConfigError(
-                    f"local pools hold exactly one (modality, task) bank, got {len(combos)}"
-                )
-        self.candidates = candidates
-        self.setting = setting
-        self.ids = ids
-        self.matrix = matrix
-
-    @property
-    def size(self) -> int:
-        return len(self.candidates)
+        edges = np.cumsum([0, *(len(bank.ids) for bank in banks)]).tolist()
+        self.ranges, self.size, self.setting = list(zip(edges[:-1], edges[1:])), edges[-1], setting
 
 
 @dataclass(frozen=True)
 class QuerySet:
     """Queries plus their ground-truth candidate ids. ``rows`` stacks the query
-    embeddings unless given; query sets over the same queries may share it."""
+    embeddings; ``_truth`` holds the query ids, then the ground-truth ids
+    flattened in query order and where each query's ids start (then the end)."""
 
     queries: list[Query]
     ground_truth: dict[int, set[int]]
-    rows: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.queries:
             raise EmptyPoolError("query set needs at least one query")
-        for q in self.queries:
-            gt = self.ground_truth.get(q.id)
-            if not gt:
-                raise ConfigError(f"query {q.id} has no ground-truth candidates")
-        if self.rows is None:
-            object.__setattr__(self, "rows", np.stack([np.asarray(q.embedding, dtype=np.float64) for q in self.queries]))
-        elif self.rows.shape[0] != len(self.queries):
-            raise ShapeMismatchError(f"{self.rows.shape[0]} query rows for {len(self.queries)} queries")
-
-    @cached_property
-    def _truth(self) -> tuple[list[int], np.ndarray, np.ndarray]:
-        """Query ids, then the ground-truth ids flattened in query order and
-        where each query's ids start (then the end)."""
         ids = [q.id for q in self.queries]
-        truth = [self.ground_truth[i] for i in ids]
+        truth = [self.ground_truth.get(i) for i in ids]
+        for i, gt in zip(ids, truth):
+            if not gt:
+                raise ConfigError(f"query {i} has no ground-truth candidates")
         counts = np.fromiter(map(len, truth), np.intp, len(truth))
         gt_ids = np.fromiter(chain.from_iterable(truth), np.int64, counts.sum())
-        return ids, gt_ids, np.concatenate(([0], np.cumsum(counts)))
+        object.__setattr__(self, "rows", np.stack([np.asarray(q.embedding, dtype=np.float64) for q in self.queries]))
+        object.__setattr__(self, "_truth", (ids, gt_ids, np.concatenate(([0], np.cumsum(counts)))))
+
+
+class Ranked(NamedTuple):
+    """What a pass found for a query set in one pool: query ids in row order, each
+    query's best ground-truth rank and cosine, and the mean cosine-by-rank curve."""
+
+    queries: Sequence[int]
+    ranks: np.ndarray
+    gt_cosines: list[float]
+    curve: np.ndarray
 
 
 def _ground_truth_columns(queries: QuerySet, pool: RetrievalPool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -143,97 +143,26 @@ def _ground_truth_columns(queries: QuerySet, pool: RetrievalPool) -> tuple[np.nd
     return gt_rows, columns, starts
 
 
-def _score_blocks(rows: np.ndarray, pool: RetrievalPool):
-    """(first row, scores) for each block of _BLOCK query rows, one gemm per block."""
-    for start in range(0, len(rows), _BLOCK):
-        yield start, rows[start : start + _BLOCK] @ pool.matrix.T
-
-
 def _pair_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a · b over the last axis, one BLAS dot per pair as a per-pair `@` computes it."""
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _ranks(queries: QuerySet, pool: RetrievalPool, gt) -> np.ndarray:
-    """Best (minimum, 1-based) ground-truth rank per query, gt from _ground_truth_columns.
-
-    Candidate g ranks at 1 + #(s > s_g) + #(s == s_g and id < id_g): a count
-    over the query's scores, which equals g's place in the sorted order.
-    """
+def _gt_cosines(rows: np.ndarray, matrix: np.ndarray, gt) -> list[float]:
+    """Each query's best ground-truth cosine, gt from _ground_truth_columns."""
     gt_rows, columns, starts = gt
-    single = len(columns) == len(queries.queries)  # every query has one ground truth
-    ranks = np.empty(len(queries.queries), dtype=np.int64)
-    for start, scores in _score_blocks(queries.rows, pool):
-        stop = start + len(scores)
-        entries = slice(starts[start], starts[stop])
-        cols = columns[entries]
-        s = scores if single else scores[gt_rows[entries] - start]
-        s_gt = s[np.arange(len(cols)), cols][:, None]
-        before = np.add.reduce(s > s_gt, axis=1, dtype=np.intp)
-        equal = s == s_gt
-        # the id term counts only where another candidate scores exactly s_g
-        if np.count_nonzero(equal) > len(cols):
-            tied = np.flatnonzero(np.add.reduce(equal, axis=1, dtype=np.intp) > 1)
-            before[tied] += np.count_nonzero(equal[tied] & (pool.ids < pool.ids[cols[tied], None]), axis=1)
-        ranks[start:stop] = 1 + (before if single else np.minimum.reduceat(before, starts[start:stop] - starts[start]))
-    return ranks
-
-
-def recall_at_k(queries: QuerySet, pool: RetrievalPool, k: int) -> float:
-    """Fraction of queries whose top-K hits their ground-truth set."""
-    if not (1 <= k <= pool.size):
-        raise KOutOfRangeError(f"K={k} outside [1, {pool.size}]")
-    ranks = _ranks(queries, pool, _ground_truth_columns(queries, pool))
-    return np.count_nonzero(ranks <= k) / len(ranks)
-
-
-def rank_of_ground_truth(
-    queries: QuerySet,
-    pool: RetrievalPool,
-    bucket_edges: list[int] | None = None,
-) -> tuple[list[int], dict[str, int]]:
-    """Per-query best (minimum, 1-based) ground-truth rank plus a histogram.
-
-    Buckets default to powers of two up to the pool size; each bucket spans
-    [edge, next_edge) clipped to the pool size.
-    """
-    ranks = _ranks(queries, pool, _ground_truth_columns(queries, pool))
-    return ranks.tolist(), _histogram(ranks, pool.size, bucket_edges)
-
-
-def _histogram(ranks: np.ndarray, pool_size: int, bucket_edges: list[int] | None = None) -> dict[str, int]:
-    edges = bucket_edges if bucket_edges is not None else [2**i for i in range(pool_size.bit_length())]
-    if not edges or any(e < 1 for e in edges) or sorted(edges) != list(edges):
-        raise ConfigError(f"bucket edges must be ascending and >= 1, got {edges}")
-    histogram: dict[str, int] = {}
-    for i, lo in enumerate(edges):
-        hi = min((edges[i + 1] - 1) if i + 1 < len(edges) else pool_size, pool_size)
-        label = str(lo) if lo == hi else f"{lo}-{hi}"
-        histogram[label] = int(np.count_nonzero((ranks >= lo) & (ranks <= hi)))
-    return histogram
-
-
-def build_global_pool(sources: Iterable[Iterable[Candidate]]) -> RetrievalPool:
-    """Union candidate banks into one mixed Global pool; ids must stay unique."""
-    merged: list[Candidate] = []
-    for source in sources:
-        merged.extend(source)
-    return RetrievalPool(merged, PoolSetting.GLOBAL)
-
-
-def build_local_pool(candidates: Iterable[Candidate]) -> RetrievalPool:
-    """Wrap one (modality, task) candidate bank as a Local pool."""
-    return RetrievalPool(list(candidates), PoolSetting.LOCAL)
-
-
-def _gt_cosines(queries: QuerySet, pool: RetrievalPool, gt) -> list[float]:
-    gt_rows, columns, starts = gt
-    cosines = _pair_dots(pool.matrix[columns], queries.rows[gt_rows])
+    cosines = _pair_dots(matrix[columns], rows[gt_rows])
     return np.clip(np.maximum.reduceat(cosines, starts[:-1]), -1.0, 1.0).tolist()
 
 
+def _take_rows(a: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """a[i, index[i, j]] for a C-contiguous 2-D a, as one flat take."""
+    return np.take(a, index + a.shape[1] * np.arange(len(a))[:, None])
+
+
 def _heads(scores: np.ndarray, ids: np.ndarray, max_rank: int) -> np.ndarray:
-    """Pool columns of each row's max_rank best scores, best first, ties by ascending id."""
+    """Columns of each row's max_rank best scores, best first, ties by ascending
+    id; ids holds one id per column, or one per score."""
     n = scores.shape[1]
     rows = np.arange(len(scores))[:, None]
     if max_rank == n:
@@ -248,31 +177,133 @@ def _heads(scores: np.ndarray, ids: np.ndarray, max_rank: int) -> np.ndarray:
     # its head or across the cut takes the full (score, id) order
     tied = (head_scores[:, 1:] == head_scores[:, :-1]).any(axis=1) | (head_scores[:, -1] == outside)
     for i in np.flatnonzero(tied):
-        heads[i] = np.lexsort((ids, -scores[i]))[:max_rank]
+        heads[i] = np.lexsort((ids[i] if ids.ndim > 1 else ids, -scores[i]))[:max_rank]
     return heads
 
 
-def cosine_by_rank(queries: QuerySet, pool: RetrievalPool, max_rank: int) -> np.ndarray:
-    """Mean over queries of cosine(query, r-th ranked candidate), r = 1..max_rank."""
+def _block_ranks(scores, ids, head, span, rows, columns) -> np.ndarray:
+    """Rank of candidate columns[e] for block row rows[e] within the column
+    range span: its place in the row's head, or for the rows where it is not
+    there, 1 + #(s > s_g) + #(s == s_g and id < id_g) over the range, with
+    the id term counted only where another candidate scores exactly s_g."""
+    hit = head[rows] == columns[:, None]
+    ranks = 1 + hit.argmax(axis=1)
+    miss = np.flatnonzero(~hit.any(axis=1))
+    if len(miss):
+        (lo, hi), rows, columns = span, rows[miss], columns[miss]
+        s, s_gt = scores[rows, lo:hi], scores[rows, columns][:, None]
+        before = np.add.reduce(s > s_gt, axis=1, dtype=np.intp)
+        equal = s == s_gt
+        if np.count_nonzero(equal) > len(miss):
+            tied = np.flatnonzero(np.add.reduce(equal, axis=1, dtype=np.intp) > 1)
+            before[tied] += np.count_nonzero(equal[tied] & (ids[lo:hi] < ids[columns[tied], None]), axis=1)
+        ranks[miss] = 1 + before
+    return ranks
+
+
+def _pass(rows: np.ndarray, pool: RetrievalPool, max_rank: int, rankings) -> tuple[list, list]:
+    """Score rows against the pool once, in row blocks, and read everything off each block.
+
+    Range 0 is the whole pool and range 1 + b is bank b; a range's head is its
+    min(max_rank, size) best columns. Returns each range's mean cosine-by-rank
+    curve over its head, and for each (range, ground truth) of rankings, ground
+    truth as _ground_truth_columns gives it, each query's best rank in that range.
+    """
+    ranges = [(0, pool.size), *pool.ranges]
+    cosines = [np.empty((len(rows), min(max_rank, hi - lo))) for lo, hi in ranges]
+    found = [np.empty(len(starts) - 1, dtype=np.int64) for _, (_, _, starts) in rankings]
+    step = max(1, _BLOCK_BYTES // (8 * pool.size))
+    for start in range(0, len(rows), step):
+        block = rows[start : start + step]
+        stop, scores = start + len(block), block @ pool.matrix.T
+        heads = [lo + _heads(scores[:, lo:hi], pool.ids[lo:hi], min(max_rank, hi - lo)) for lo, hi in pool.ranges]
+        union = np.hstack(heads)  # it holds the pool's head
+        pick = _heads(_take_rows(scores, union), pool.ids[union], cosines[0].shape[1])
+        heads.insert(0, _take_rows(union, pick))
+        bank_cosines = [_pair_dots(np.take(pool.matrix, h, axis=0), block[:, None, :]) for h in heads[1:]]
+        for curve, c in zip(cosines, [_take_rows(np.hstack(bank_cosines), pick), *bank_cosines]):
+            curve[start:stop] = c
+        for ranks, (r, (gt_rows, columns, starts)) in zip(found, rankings):
+            e = slice(starts[start], starts[stop])
+            got = _block_ranks(scores, pool.ids, heads[r], ranges[r], gt_rows[e] - start, columns[e])
+            ranks[start:stop] = np.minimum.reduceat(got, starts[start:stop] - starts[start])
+    # cumsum adds one query at a time, so the sum's rounding follows query order
+    return [np.cumsum(np.clip(c, -1.0, 1.0), axis=0)[-1] / len(rows) for c in cosines], found
+
+
+def _ranked(queries: QuerySet, pool: RetrievalPool, max_rank: int) -> Ranked:
+    """One query set's pass against the whole pool, its curve up to max_rank."""
+    gt = _ground_truth_columns(queries, pool)
+    curves, (ranks,) = _pass(queries.rows, pool, max_rank, [(0, gt)])
+    return Ranked(queries._truth[0], ranks, _gt_cosines(queries.rows, pool.matrix, gt), curves[0])
+
+
+def rank_banks(rows: np.ndarray, pool: RetrievalPool, max_rank: int, local_rank: int) -> list[tuple[Ranked, Ranked]]:
+    """One pass for queries whose row i has the i-th candidate of each bank as
+    its one ground truth, a task per bank: per bank, the task's Ranked in the
+    whole pool (curve up to max_rank) and in its own bank (up to local_rank)."""
+    n, k = len(rows), len(pool.ranges)
+    if any(hi - lo != n for lo, hi in pool.ranges):
+        raise ShapeMismatchError(f"each bank needs one candidate per query row ({n})")
+    truths = [(np.arange(n), lo + np.arange(n), np.arange(n + 1)) for lo, _ in pool.ranges]
+    curves, ranks = _pass(rows, pool, max_rank, [*((0, gt) for gt in truths), *zip(range(1, k + 1), truths)])
+    cosines = [_gt_cosines(rows, pool.matrix, gt) for gt in truths]
+    whole = [Ranked(range(n), ranks[b], cosines[b], curves[0]) for b in range(k)]
+    return list(zip(whole, [Ranked(range(n), ranks[k + b], cosines[b], curves[1 + b][:local_rank]) for b in range(k)]))
+
+
+def recall_at_k(queries: QuerySet, pool: RetrievalPool, k: int) -> float:
+    """Fraction of queries whose top-K hits their ground-truth set."""
+    return build_report(queries, pool, [k])["recall_at"][str(k)]
+
+
+def rank_of_ground_truth(queries: QuerySet, pool: RetrievalPool) -> tuple[list[int], dict[str, int]]:
+    """Per-query best (minimum, 1-based) ground-truth rank plus a histogram
+    whose buckets span [2^i, 2^(i+1)), clipped to the pool size."""
+    report = build_report(queries, pool, [1])
+    return report["ranks"], report["rank_histogram"]
+
+
+def _histogram(ranks: np.ndarray, pool_size: int) -> dict[str, int]:
+    edges = [2**i for i in range(pool_size.bit_length())]
+    return {
+        str(lo) if lo == hi else f"{lo}-{hi}": int(np.count_nonzero((ranks >= lo) & (ranks <= hi)))
+        for lo, hi in zip(edges, [e - 1 for e in edges[1:]] + [pool_size])
+    }
+
+
+def build_global_pool(sources: Iterable[Bank | Iterable[Candidate]]) -> RetrievalPool:
+    """Stack candidate banks into one mixed Global pool; ids must stay unique."""
+    return RetrievalPool([_bank(source) for source in sources], "global")
+
+
+def build_local_pool(candidates: Bank | Iterable[Candidate]) -> RetrievalPool:
+    """Wrap one (modality, task) candidate bank as a Local pool."""
+    if not isinstance(candidates, Bank):
+        candidates = list(candidates)
+        combos = {(c.modality, c.source_task) for c in candidates}
+        if len(combos) > 1:
+            raise ConfigError(f"local pools hold exactly one (modality, task) bank, got {len(combos)}")
+    return RetrievalPool([_bank(candidates)], "local")
+
+
+def cosine_by_rank(queries: QuerySet | Ranked, pool: RetrievalPool, max_rank: int) -> np.ndarray:
+    """Mean over queries of cosine(query, r-th ranked candidate), r = 1..max_rank;
+    queries is a QuerySet, scored here, or what a pass found for it in this pool."""
     if not (1 <= max_rank <= pool.size):
         raise KOutOfRangeError(f"max_rank={max_rank} outside [1, {pool.size}]")
-    rows = queries.rows
-    curves = np.empty((len(rows), max_rank))
-    for start, scores in _score_blocks(rows, pool):
-        block = slice(start, start + len(scores))
-        curves[block] = _pair_dots(pool.matrix[_heads(scores, pool.ids, max_rank)], rows[block, None, :])
-    # cumsum adds one query at a time, so the sum's rounding follows query order
-    return np.cumsum(np.clip(curves, -1.0, 1.0), axis=0)[-1] / len(rows)
+    return (queries if isinstance(queries, Ranked) else _ranked(queries, pool, max_rank)).curve[:max_rank]
 
 
 def build_report(
-    queries: QuerySet,
+    queries: QuerySet | Ranked,
     pool: RetrievalPool,
     k_values: Sequence[int],
     rank_cap: int | None = None,
 ) -> dict:
-    """The report.json entry for one (query set, pool): ranks computed once,
-    then recalls (keyed by str(K)), histogram and ground-truth cosines.
+    """The report.json entry for one (query set, pool): recalls (keyed by
+    str(K)), histogram, ranks and ground-truth cosines. queries is a QuerySet,
+    scored here, or what a pass found for it in this pool.
 
     When a rank cap is set, both conventions for out-of-range ranks are
     recorded: capped_ranks clips them to the cap, while dropped_beyond_cap
@@ -284,16 +315,16 @@ def build_report(
             raise KOutOfRangeError(f"K={k} outside [1, {pool.size}]")
     if rank_cap is not None and rank_cap < 1:
         raise ConfigError(f"rank_cap must be >= 1, got {rank_cap}")
-    gt = _ground_truth_columns(queries, pool)
-    ranks = _ranks(queries, pool, gt)
+    ranked = queries if isinstance(queries, Ranked) else _ranked(queries, pool, max(k_values, default=1))
+    ranks = ranked.ranks
     report = {
-        "setting": pool.setting.value,
+        "setting": pool.setting,
         "k_values": k_values,
         "recall_at": {str(k): int(np.count_nonzero(ranks <= k)) / len(ranks) for k in k_values},
         "rank_histogram": _histogram(ranks, pool.size),
         "ranks": ranks.tolist(),
-        "gt_cosines": _gt_cosines(queries, pool, gt),
-        "query_ids": queries._truth[0],
+        "gt_cosines": ranked.gt_cosines,
+        "query_ids": list(ranked.queries),
     }
     if rank_cap is not None:
         report["rank_cap"] = rank_cap

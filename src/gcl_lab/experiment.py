@@ -22,7 +22,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -32,13 +32,14 @@ from .diagnostics import PcaProjection, modality_gap_table, pca_2d
 from .embeddings import MODALITIES, Modality
 from .errors import ConfigError, FormatError, InvalidDimsError, NonFiniteGradientError
 from .evaluation import (
-    Candidate,
+    Bank,
     Query,
     QuerySet,
     build_global_pool,
     build_local_pool,
     build_report,
     cosine_by_rank,
+    rank_banks,
     report_csv,
 )
 from .losses import DenominatorMode, LossConfig
@@ -127,9 +128,12 @@ def materialize_config(raw: dict) -> dict:
             out[key] = {**default, **section}
         else:
             out[key] = raw.get(key, default)
-    if not out["eval"]["k_values"]:
-        raise ConfigError("eval.k_values must be non-empty")
-    out["eval"]["k_values"] = sorted(set(int(k) for k in out["eval"]["k_values"]))
+    k_values, rank_cap = out["eval"]["k_values"], out["eval"]["rank_cap"]
+    if type(k_values) is not list or not k_values or any(type(k) is not int or k < 1 for k in k_values):
+        raise ConfigError(f"eval.k_values must be a non-empty list of ints >= 1, got {k_values!r}")
+    if rank_cap is not None and (type(rank_cap) is not int or rank_cap < 1):
+        raise ConfigError(f"eval.rank_cap must be null or an int >= 1, got {rank_cap!r}")
+    out["eval"]["k_values"] = sorted(set(k_values))
     if out["data"]["eval_pairs"] % 2 != 0:
         raise ConfigError(
             f"data.eval_pairs must be even (two views per concept), got {out['data']['eval_pairs']}"
@@ -197,30 +201,11 @@ class ExperimentConfig:
         return hashlib.sha256(canonical.encode()).hexdigest()
 
     def train_config(self) -> TrainConfig:
-        t = self.materialized["train"]
-        return TrainConfig(
-            variant=self.variant,
-            loss=LossConfig(
-                tau=t["tau"],
-                denominator_mode=DenominatorMode(t["denominator_mode"]),
-            ),
-            batch_size=t["batch_size"],
-            epochs=t["epochs"],
-            base_lr=t["base_lr"],
-            weight_decay=t["weight_decay"],
-            warmup_steps=t["warmup_steps"],
-            seed=self.seed,
-            encoder=EncoderConfig(
-                d_in=self.data["d_in"], d_out=t["d_out"], hidden=t["hidden"]
-            ),
-            renormalize_fusion=t["renormalize_fusion"],
-            freeze_image=t["freeze_image"],
-            freeze_text=t["freeze_text"],
-            learnable_tau=t["learnable_tau"],
-            tau_min=t["tau_min"],
-            tau_max=t["tau_max"],
-            triplet_weight=t["triplet_weight"],
-        )
+        """The train section as a TrainConfig, whose field names are its keys but the nested loss's and encoder's."""
+        t = dict(self.materialized["train"])
+        loss = LossConfig(tau=t.pop("tau"), denominator_mode=DenominatorMode(t.pop("denominator_mode")))
+        encoder = EncoderConfig(d_in=self.data["d_in"], d_out=t.pop("d_out"), hidden=t.pop("hidden"))
+        return TrainConfig(variant=self.variant, seed=self.seed, loss=loss, encoder=encoder, **t)
 
 
 # ExperimentPaths attribute -> (its directory attribute, file name)
@@ -390,64 +375,52 @@ def _encode_eval_views(cfg: ExperimentConfig, paths: ExperimentPaths):
     return candidate_rows, query_rows
 
 
-def _candidate_banks(candidate_rows: dict[Modality, np.ndarray]) -> dict[Modality, list[Candidate]]:
-    banks: dict[Modality, list[Candidate]] = {}
-    for bank_index, modality in enumerate(MODALITIES):
-        rows = candidate_rows[modality]
-        ids = range(bank_index, 3 * rows.shape[0], 3)  # 3 * concept + bank index
-        banks[modality] = list(map(Candidate, ids, rows, repeat(modality), repeat(f"c_{modality.code}")))
-    return banks
-
-
-def _query_sets(query_rows: dict[Modality, np.ndarray], query_modality: Modality) -> dict[Modality, QuerySet]:
-    """The three tasks of one query modality, by candidate modality: one query
-    list and row matrix, each task's ground truth in its own bank."""
-    rows = query_rows[query_modality]
-    concepts = range(rows.shape[0])
-    queries = list(map(Query, concepts, rows, repeat(query_modality)))
+def _candidate_banks(candidate_rows: dict[Modality, np.ndarray]) -> dict[Modality, Bank]:
+    """Each modality's candidates as a bank: candidate c has id 3 * c + bank index."""
     return {
-        modality: QuerySet(queries, {c: {3 * c + bank_index} for c in concepts}, rows)
-        for bank_index, modality in enumerate(MODALITIES)
+        m: Bank(np.arange(b, 3 * len(candidate_rows[m]), 3), candidate_rows[m]) for b, m in enumerate(MODALITIES)
     }
 
 
 def _query_set_for_task(
     query_rows: dict[Modality, np.ndarray], query_modality: Modality, cand_modality: Modality
 ) -> QuerySet:
-    return _query_sets(query_rows, query_modality)[cand_modality]
+    """One task's queries as a QuerySet: query c's ground truth is candidate c of the task's bank."""
+    rows, bank_index = query_rows[query_modality], MODALITIES.index(cand_modality)
+    concepts = range(rows.shape[0])
+    queries = list(map(Query, concepts, rows, repeat(query_modality)))
+    return QuerySet(queries, {c: {3 * c + bank_index} for c in concepts})
 
 
 def compute_run_report(cfg: ExperimentConfig, paths: ExperimentPaths) -> tuple[dict, PcaProjection]:
     """The report.json payload, built in memory (no files written), plus the
-    PCA projection that csv/pca_projection.csv tabulates.
-
-    Each (task, pool) gets a build_report with its cosine_by_rank curve; each
-    distinct (query modality, pool) gets one curve, so a query modality's
-    three tasks share the global one.
-    """
+    PCA projection that csv/pca_projection.csv tabulates. One rank_banks pass
+    per query modality ranks its three tasks in the global and local pools;
+    build_report and cosine_by_rank read each entry off it."""
     candidate_rows, query_rows = _encode_eval_views(cfg, paths)
     banks = _candidate_banks(candidate_rows)
     global_pool = build_global_pool([banks[m] for m in MODALITIES])
     local_pools = {m: build_local_pool(banks[m]) for m in MODALITIES}
 
-    k_values = cfg.eval_plan["k_values"]
-    rank_cap = cfg.eval_plan["rank_cap"]
+    k_values, rank_cap = cfg.eval_plan["k_values"], cfg.eval_plan["rank_cap"]
+    n = len(query_rows[MODALITIES[0]])  # one query and one candidate per bank for each concept
+    # the configured K that fit each pool, ascending; the global pool holds a local one
+    global_k, local_k = ([k for k in k_values if k <= size] for size in (global_pool.size, n))
+    if not local_k:
+        raise ConfigError(f"no configured K fits the local pools of size {n}")
     tasks: dict[str, dict[str, dict]] = {}
     for query_modality in MODALITIES:
-        task_queries = _query_sets(query_rows, query_modality)
-        curves = {}  # a curve does not depend on the ground truth: one per (query modality, pool)
-        for cand_modality in MODALITIES:
-            task = f"q_{query_modality.code}->c_{cand_modality.code}"
-            queries = task_queries[cand_modality]
-            tasks[task] = {}
-            for setting, pool in (("global", global_pool), ("local", local_pools[cand_modality])):
-                usable_k = [k for k in k_values if k <= pool.size]  # ascending, as materialized
-                if not usable_k:
-                    raise ConfigError(f"no configured K fits pool of size {pool.size} for task {task}")
-                if pool not in curves:
-                    curves[pool] = cosine_by_rank(queries, pool, usable_k[-1]).tolist()
-                report = build_report(queries, pool, usable_k, rank_cap=rank_cap)
-                tasks[task][setting] = {**report, "cosine_by_rank": curves[pool]}
+        rankings = rank_banks(query_rows[query_modality], global_pool, global_k[-1], local_k[-1])
+        global_curve = cosine_by_rank(rankings[0][0], global_pool, global_k[-1]).tolist()
+        for cand_modality, (in_global, in_local) in zip(MODALITIES, rankings):
+            local_pool = local_pools[cand_modality]
+            tasks[f"q_{query_modality.code}->c_{cand_modality.code}"] = {
+                "global": {**build_report(in_global, global_pool, global_k, rank_cap), "cosine_by_rank": global_curve},
+                "local": {
+                    **build_report(in_local, local_pool, local_k, rank_cap),
+                    "cosine_by_rank": cosine_by_rank(in_local, local_pool, local_k[-1]).tolist(),
+                },
+            }
 
     gap_samples = {m: candidate_rows[m] for m in MODALITIES}
     gap = modality_gap_table(gap_samples)
@@ -501,28 +474,24 @@ def cmd_verify(cfg: ExperimentConfig, paths: ExperimentPaths | None = None) -> d
 
 def _first_differences(a, b, path: str, limit: int = 3) -> str:
     """Human-readable description of the first few leaf-level mismatches."""
-    found: list[str] = []
 
     def walk(x, y, where):
-        if len(found) >= limit:
-            return
         if isinstance(x, dict) and isinstance(y, dict):
             for key in sorted(set(x) | set(y)):
                 if key not in x or key not in y:
-                    found.append(f"{where}.{key} present on one side only")
+                    yield f"{where}.{key} present on one side only"
                 else:
-                    walk(x[key], y[key], f"{where}.{key}")
+                    yield from walk(x[key], y[key], f"{where}.{key}")
         elif isinstance(x, list) and isinstance(y, list):
             if len(x) != len(y):
-                found.append(f"{where} lengths {len(x)} != {len(y)}")
-                return
-            for i, (xi, yi) in enumerate(zip(x, y)):
-                walk(xi, yi, f"{where}[{i}]")
+                yield f"{where} lengths {len(x)} != {len(y)}"
+            else:
+                for i, (xi, yi) in enumerate(zip(x, y)):
+                    yield from walk(xi, yi, f"{where}[{i}]")
         elif x != y:
-            found.append(f"{where}: stored {x!r} != recomputed {y!r}")
+            yield f"{where}: stored {x!r} != recomputed {y!r}"
 
-    walk(a, b, path)
-    return "; ".join(found) if found else "structures differ"
+    return "; ".join(islice(walk(a, b, path), limit)) or "structures differ"
 
 
 def cmd_ablate(cfg: ExperimentConfig, paths: ExperimentPaths | None = None) -> dict:

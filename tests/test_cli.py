@@ -54,6 +54,29 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith("config error:") and message in err
 
+    @pytest.mark.parametrize(
+        "eval_section, message",
+        [
+            ({"k_values": [0, 5]}, "eval.k_values"),
+            ({"k_values": [2.7]}, "eval.k_values"),
+            ({"k_values": ["7"]}, "eval.k_values"),
+            ({"k_values": [True, 5]}, "eval.k_values"),
+            ({"k_values": 5}, "eval.k_values"),
+            ({"rank_cap": 0}, "eval.rank_cap"),
+            ({"rank_cap": 2.5}, "eval.rank_cap"),
+            ({"rank_cap": False}, "eval.rank_cap"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["generate", "train", "eval"])
+    def test_bad_eval_grid_exits_two_before_writing(self, tmp_path, capsys, command, eval_section, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**TINY, "eval": eval_section}))
+        out = tmp_path / "run"
+        assert run_cli(command, "--config", str(path), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert not out.exists()
+
     def test_missing_artifacts_exit_two(self, tiny_cfg, capsys):
         assert run_cli("train", "--config", str(tiny_cfg)) == 2
         assert "generate command first" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 import csv
 import io
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,15 +17,15 @@ from gcl_lab.errors import (
     ShapeMismatchError,
 )
 from gcl_lab.evaluation import (
+    Bank,
     Candidate,
-    PoolSetting,
     Query,
     QuerySet,
-    RetrievalPool,
     build_global_pool,
     build_local_pool,
     build_report,
     cosine_by_rank,
+    rank_banks,
     rank_of_ground_truth,
     recall_at_k,
     report_csv,
@@ -62,20 +63,20 @@ def make_query_set(rng, pool, n_queries, d, gt_per_query=1):
 class TestPoolConstruction:
     def test_empty_pool_rejected(self):
         with pytest.raises(EmptyPoolError):
-            RetrievalPool([], PoolSetting.GLOBAL)
+            build_global_pool([[]])
 
     def test_duplicate_id_rejected(self):
         rng = np.random.default_rng(0)
         cands = make_candidates(rng, 3, 4)
         dup = Candidate(id=1, embedding=cands[0].embedding, modality=Modality.TEXT, source_task="x")
         with pytest.raises(DuplicateIdError, match="id 1"):
-            RetrievalPool(cands + [dup], PoolSetting.GLOBAL)
+            build_global_pool([cands + [dup]])
 
     def test_mixed_dims_rejected(self):
         a = Candidate(id=0, embedding=np.array([1.0, 0.0]), modality=Modality.IMAGE)
         b = Candidate(id=1, embedding=np.array([1.0, 0.0, 0.0]), modality=Modality.IMAGE)
         with pytest.raises(ShapeMismatchError):
-            RetrievalPool([a, b], PoolSetting.GLOBAL)
+            build_global_pool([[a, b]])
 
     def test_local_pool_single_bank_enforced(self):
         rng = np.random.default_rng(1)
@@ -91,7 +92,7 @@ class TestPoolConstruction:
         text_bank = make_candidates(rng, 4, 4, Modality.TEXT, "t2", id_offset=10)
         pool = build_global_pool([image_bank, text_bank])
         assert pool.size == 7
-        assert pool.setting is PoolSetting.GLOBAL
+        assert pool.setting == "global"
 
     def test_global_pool_duplicate_across_banks(self):
         rng = np.random.default_rng(3)
@@ -110,6 +111,11 @@ class TestPoolConstruction:
             QuerySet(queries=[q], ground_truth={0: set()})
 
 
+def candidates_of(pool):
+    """The pool's candidates, rebuilt from its ids and rows, for the oracles."""
+    return [Candidate(id=int(cid), embedding=row, modality=Modality.IMAGE) for cid, row in zip(pool.ids, pool.matrix)]
+
+
 def every_candidate_as_ground_truth(query, pool):
     """One copy of the query per candidate, each with that candidate as its only
     ground truth, so the ranks are the candidates' places in the full ranking."""
@@ -120,10 +126,10 @@ def every_candidate_as_ground_truth(query, pool):
 
 def oracle_curve(queries, pool, max_rank):
     """Per-query running sum of per-pair cosines down the oracle ranking."""
-    by_id = {c.id: c.embedding for c in pool.candidates}
+    by_id = {c.id: c.embedding for c in candidates_of(pool)}
     acc = np.zeros(max_rank)
     for q in queries.queries:
-        head = oracle_ranking(q.embedding, pool.candidates)[:max_rank]
+        head = oracle_ranking(q.embedding, candidates_of(pool))[:max_rank]
         acc += np.clip([by_id[cid] @ q.embedding for cid in head], -1.0, 1.0)
     return acc / len(queries.queries)
 
@@ -137,10 +143,10 @@ class TestTopK:
             rng = np.random.default_rng(seed)
             n = int(rng.integers(2, 40))
             d = int(rng.integers(2, 10))
-            pool = RetrievalPool(make_candidates(rng, n, d), PoolSetting.GLOBAL)
+            pool = build_global_pool([make_candidates(rng, n, d)])
             query = unit_rows(rng, 1, d)[0]
             k = int(rng.integers(1, n + 1))
-            order = oracle_ranking(query, pool.candidates)
+            order = oracle_ranking(query, candidates_of(pool))
             queries = every_candidate_as_ground_truth(query, pool)
             ranks, _ = rank_of_ground_truth(queries, pool)
             assert ranks == [order.index(cid) + 1 for cid in pool.ids.tolist()]
@@ -154,7 +160,7 @@ class TestTopK:
             Candidate(id=i, embedding=emb, modality=Modality.IMAGE, source_task="t")
             for i in (7, 3, 5)
         ]
-        pool = RetrievalPool(cands, PoolSetting.LOCAL)
+        pool = build_local_pool(cands)
         ranks, _ = rank_of_ground_truth(every_candidate_as_ground_truth(emb, pool), pool)
         assert ranks == [3, 1, 2]
 
@@ -162,15 +168,15 @@ class TestTopK:
         rng = np.random.default_rng(11)
         cands = make_candidates(rng, 20, 6)
         query = unit_rows(rng, 1, 6)[0]
-        pool_fwd = RetrievalPool(cands, PoolSetting.GLOBAL)
-        pool_rev = RetrievalPool(list(reversed(cands)), PoolSetting.GLOBAL)
+        pool_fwd = build_global_pool([cands])
+        pool_rev = build_global_pool([list(reversed(cands))])
         queries = every_candidate_as_ground_truth(query, pool_fwd)
         assert rank_of_ground_truth(queries, pool_fwd) == rank_of_ground_truth(queries, pool_rev)
         assert np.array_equal(cosine_by_rank(queries, pool_fwd, 20), cosine_by_rank(queries, pool_rev, 20))
 
     def test_k_out_of_range(self):
         rng = np.random.default_rng(4)
-        pool = RetrievalPool(make_candidates(rng, 5, 3), PoolSetting.GLOBAL)
+        pool = build_global_pool([make_candidates(rng, 5, 3)])
         queries = make_query_set(rng, pool, 2, 3)
         with pytest.raises(KOutOfRangeError):
             recall_at_k(queries, pool, 0)
@@ -186,7 +192,7 @@ class TestRecall:
     def test_recall_monotone_in_k(self):
         for seed in range(20):
             rng = np.random.default_rng(100 + seed)
-            pool = RetrievalPool(make_candidates(rng, 30, 5), PoolSetting.GLOBAL)
+            pool = build_global_pool([make_candidates(rng, 30, 5)])
             queries = make_query_set(rng, pool, 10, 5, gt_per_query=2)
             recalls = [recall_at_k(queries, pool, k) for k in (1, 2, 4, 8, 16, 30)]
             assert all(a <= b for a, b in zip(recalls, recalls[1:]))
@@ -198,7 +204,7 @@ class TestRecall:
             Candidate(id=0, embedding=np.array([1.0, 0.0]), modality=Modality.IMAGE, source_task="t"),
             Candidate(id=1, embedding=np.array([0.0, 1.0]), modality=Modality.IMAGE, source_task="t"),
         ]
-        pool = RetrievalPool(cands, PoolSetting.LOCAL)
+        pool = build_local_pool(cands)
         q_hit = Query(id=0, embedding=np.array([1.0, 0.0]), modality=Modality.TEXT)
         q_miss = Query(id=1, embedding=np.array([1.0, 0.0]), modality=Modality.TEXT)
         queries = QuerySet(queries=[q_hit, q_miss], ground_truth={0: {0}, 1: {1}})
@@ -207,7 +213,7 @@ class TestRecall:
 
     def test_ground_truth_must_exist_in_pool(self):
         rng = np.random.default_rng(5)
-        pool = RetrievalPool(make_candidates(rng, 5, 3), PoolSetting.GLOBAL)
+        pool = build_global_pool([make_candidates(rng, 5, 3)])
         q = Query(id=0, embedding=unit_rows(rng, 1, 3)[0], modality=Modality.TEXT)
         queries = QuerySet(queries=[q], ground_truth={0: {99}})
         with pytest.raises(ConfigError, match="not in pool"):
@@ -232,11 +238,11 @@ class TestRankOfGroundTruth:
         # The last case has 150 queries: two full score blocks and a partial one.
         for seed, n_queries in [(s, 6) for s in range(30)] + [(30, 150)]:
             rng = np.random.default_rng(300 + seed)
-            pool = RetrievalPool(make_candidates(rng, 25, 4), PoolSetting.GLOBAL)
+            pool = build_global_pool([make_candidates(rng, 25, 4)])
             queries = make_query_set(rng, pool, n_queries, 4, gt_per_query=3)
             ranks, _ = rank_of_ground_truth(queries, pool)
             for q, rank in zip(queries.queries, ranks):
-                order = oracle_ranking(q.embedding, pool.candidates)
+                order = oracle_ranking(q.embedding, candidates_of(pool))
                 expected = min(order.index(g) + 1 for g in queries.ground_truth[q.id])
                 assert rank == expected
 
@@ -245,7 +251,7 @@ class TestRankOfGroundTruth:
             Candidate(id=cid, embedding=np.array(emb), modality=Modality.IMAGE, source_task="t")
             for cid, emb in ((9, [0.6, 0.8]), (4, [0.6, 0.8]), (6, [1.0, 0.0]), (2, [0.0, 1.0]))
         ]
-        pool = RetrievalPool(cands, PoolSetting.LOCAL)
+        pool = build_local_pool(cands)
         q = Query(id=0, embedding=np.array([1.0, 0.0]), modality=Modality.TEXT)
         queries = QuerySet(queries=[q], ground_truth={0: {9, 4}})
         # Order: 6 (1.0), then 4 and 9 tied at 0.6 with 4 first, then 2.
@@ -255,7 +261,7 @@ class TestRankOfGroundTruth:
 
     def test_histogram_buckets_are_powers_of_two(self):
         rng = np.random.default_rng(6)
-        pool = RetrievalPool(make_candidates(rng, 20, 4), PoolSetting.GLOBAL)
+        pool = build_global_pool([make_candidates(rng, 20, 4)])
         queries = make_query_set(rng, pool, 12, 4)
         ranks, hist = rank_of_ground_truth(queries, pool)
         assert list(hist.keys()) == ["1", "2-3", "4-7", "8-15", "16-20"]
@@ -267,7 +273,7 @@ class TestRankOfGroundTruth:
             Candidate(id=i, embedding=emb[i], modality=Modality.IMAGE, source_task="t")
             for i in range(4)
         ]
-        pool = RetrievalPool(cands, PoolSetting.LOCAL)
+        pool = build_local_pool(cands)
         # Query along axis 0 with ground truth at id 2: rank of id 2 is
         # decided by the id tie-break among the three zero-score candidates.
         q = Query(id=0, embedding=emb[0], modality=Modality.TEXT)
@@ -276,15 +282,6 @@ class TestRankOfGroundTruth:
         assert ranks == [3]
         assert hist == {"1": 0, "2-3": 1, "4": 0}
 
-    def test_bad_bucket_edges_rejected(self):
-        rng = np.random.default_rng(7)
-        pool = RetrievalPool(make_candidates(rng, 5, 3), PoolSetting.GLOBAL)
-        queries = make_query_set(rng, pool, 2, 3)
-        with pytest.raises(ConfigError):
-            rank_of_ground_truth(queries, pool, bucket_edges=[2, 1])
-        with pytest.raises(ConfigError):
-            rank_of_ground_truth(queries, pool, bucket_edges=[0, 1])
-
 
 class TestCosines:
     def test_gt_cosine_picks_best_ranked(self):
@@ -292,7 +289,7 @@ class TestCosines:
             Candidate(id=0, embedding=np.array([1.0, 0.0]), modality=Modality.IMAGE, source_task="t"),
             Candidate(id=1, embedding=np.array([0.0, 1.0]), modality=Modality.IMAGE, source_task="t"),
         ]
-        pool = RetrievalPool(cands, PoolSetting.LOCAL)
+        pool = build_local_pool(cands)
         q = Query(id=0, embedding=np.array([0.6, 0.8]), modality=Modality.TEXT)
         queries = QuerySet(queries=[q], ground_truth={0: {0, 1}})
         # id 1 scores 0.8 > 0.6, so the best ground truth is id 1.
@@ -303,7 +300,7 @@ class TestCosines:
         # scores, which must be non-increasing by construction.
         for seed in range(20):
             rng = np.random.default_rng(400 + seed)
-            pool = RetrievalPool(make_candidates(rng, 15, 4), PoolSetting.GLOBAL)
+            pool = build_global_pool([make_candidates(rng, 15, 4)])
             queries = make_query_set(rng, pool, 1, 4)
             curve = cosine_by_rank(queries, pool, 15)
             assert np.all(np.diff(curve) <= 1e-12)
@@ -311,7 +308,7 @@ class TestCosines:
     def test_cosine_by_rank_matches_oracle(self):
         # 150 queries span two full score blocks and a partial one.
         rng = np.random.default_rng(8)
-        pool = RetrievalPool(make_candidates(rng, 10, 3), PoolSetting.GLOBAL)
+        pool = build_global_pool([make_candidates(rng, 10, 3)])
         for n_queries in (4, 150):
             queries = make_query_set(rng, pool, n_queries, 3)
             assert np.array_equal(cosine_by_rank(queries, pool, 5), oracle_curve(queries, pool, 5))
@@ -326,11 +323,11 @@ class TestCosines:
             Candidate(id=int(cid), embedding=np.array(row), modality=Modality.IMAGE, source_task="t")
             for cid, row in zip(ids, rows)
         ]
-        pool = RetrievalPool(cands, PoolSetting.LOCAL)
+        pool = build_local_pool(cands)
         query = np.array([1.0, 0.0])
         scores = pool.matrix @ query
         heads = evaluation._heads(np.tile(scores, (3, 1)), pool.ids, 5)
-        assert pool.ids[heads].tolist() == [oracle_ranking(query, pool.candidates)[:5]] * 3
+        assert pool.ids[heads].tolist() == [oracle_ranking(query, candidates_of(pool))[:5]] * 3
         queries = QuerySet(
             queries=[Query(id=i, embedding=query, modality=Modality.TEXT) for i in range(70)],
             ground_truth={i: {int(ids[0])} for i in range(70)},
@@ -340,7 +337,7 @@ class TestCosines:
 
     def test_cosine_by_rank_range_check(self):
         rng = np.random.default_rng(9)
-        pool = RetrievalPool(make_candidates(rng, 5, 3), PoolSetting.GLOBAL)
+        pool = build_global_pool([make_candidates(rng, 5, 3)])
         queries = make_query_set(rng, pool, 2, 3)
         with pytest.raises(KOutOfRangeError):
             cosine_by_rank(queries, pool, 6)
@@ -349,7 +346,7 @@ class TestCosines:
 class TestReport:
     def test_report_consistent_with_metric_functions(self):
         rng = np.random.default_rng(10)
-        pool = RetrievalPool(make_candidates(rng, 40, 5), PoolSetting.GLOBAL)
+        pool = build_global_pool([make_candidates(rng, 40, 5)])
         queries = make_query_set(rng, pool, 15, 5, gt_per_query=2)
         report = build_report(queries, pool, k_values=[1, 5, 10])
         for k in (1, 5, 10):
@@ -359,7 +356,7 @@ class TestReport:
         assert report["rank_histogram"] == hist
         # the best-ranked ground truth is the one with the highest cosine
         best_gt = [
-            max(float(q.embedding @ c.embedding) for c in pool.candidates if c.id in queries.ground_truth[q.id])
+            max(float(q.embedding @ c.embedding) for c in candidates_of(pool) if c.id in queries.ground_truth[q.id])
             for q in queries.queries
         ]
         assert report["gt_cosines"] == pytest.approx(best_gt, abs=1e-12)
@@ -380,7 +377,7 @@ class TestReport:
 
     def test_report_recall_monotone(self):
         rng = np.random.default_rng(12)
-        pool = RetrievalPool(make_candidates(rng, 60, 6), PoolSetting.GLOBAL)
+        pool = build_global_pool([make_candidates(rng, 60, 6)])
         queries = make_query_set(rng, pool, 20, 6)
         report = build_report(queries, pool, k_values=[1, 5, 10, 20, 50])
         values = [report["recall_at"][str(k)] for k in report["k_values"]]
@@ -392,7 +389,7 @@ class TestReport:
             Candidate(id=i, embedding=emb[i], modality=Modality.IMAGE, source_task="t")
             for i in range(3)
         ]
-        pool = RetrievalPool(cands, PoolSetting.LOCAL)
+        pool = build_local_pool(cands)
         q0 = Query(id=0, embedding=emb[0], modality=Modality.TEXT)  # GT rank 1
         q1 = Query(id=1, embedding=emb[0], modality=Modality.TEXT)  # GT id 2 -> rank 3
         queries = QuerySet(queries=[q0, q1], ground_truth={0: {0}, 1: {2}})
@@ -406,7 +403,7 @@ class TestReport:
 
     def test_csv_one_row_per_query(self):
         rng = np.random.default_rng(13)
-        pool = RetrievalPool(make_candidates(rng, 10, 4), PoolSetting.GLOBAL)
+        pool = build_global_pool([make_candidates(rng, 10, 4)])
         queries = make_query_set(rng, pool, 5, 4)
         report = build_report(queries, pool, k_values=[1, 5])
         lines = report_csv(report).strip().split("\n")
@@ -422,7 +419,7 @@ class TestReport:
         import json
 
         rng = np.random.default_rng(14)
-        pool = RetrievalPool(make_candidates(rng, 8, 3), PoolSetting.GLOBAL)
+        pool = build_global_pool([make_candidates(rng, 8, 3)])
         queries = make_query_set(rng, pool, 3, 3)
         report = build_report(queries, pool, k_values=[1, 2])
         text = json.dumps(report, sort_keys=True)
@@ -449,7 +446,7 @@ class TestBenchmarkScaleAnalog:
         values = [report["recall_at"][str(k)] for k in report["k_values"]]
         assert all(a <= b for a, b in zip(values, values[1:]))
         for q, rank in list(zip(queries.queries, report["ranks"]))[:5]:
-            order = oracle_ranking(q.embedding, pool.candidates)
+            order = oracle_ranking(q.embedding, candidates_of(pool))
             assert rank == min(order.index(g) + 1 for g in queries.ground_truth[q.id])
 
 
@@ -510,8 +507,96 @@ class TestTiePaths:
             query_set = QuerySet(queries=queries, ground_truth=gt)
             ranks, _ = rank_of_ground_truth(query_set, pool)
             for q, rank in zip(queries, ranks):
-                order = oracle_ranking(q.embedding, pool.candidates)
+                order = oracle_ranking(q.embedding, candidates_of(pool))
                 assert rank == min(order.index(g) + 1 for g in gt[q.id]), (trial, q.id)
+
+
+def grid_rows(rng, n, d):
+    """Rows of multiples of 1/4 in [-1/2, 1/2]: every dot product is exact, so
+    equal rows score equally under any summation order, and ties abound."""
+    return rng.integers(-2, 3, size=(n, d)) / 4.0
+
+
+def sorted_order(rows, ids, query):
+    """Columns by (descending score, ascending id), and the scores."""
+    scores = rows @ query
+    return np.lexsort((ids, -scores)), scores
+
+
+def plant_ties(banks, rows, ids, local_rank, max_rank):
+    """Copy candidate rows so that query 0 ties at bank 0's cut, inside bank
+    1's head and across the global cut between two banks, and query 1's
+    ground truth in bank 2 ties with a lower id far beyond the global head."""
+    n = len(rows)
+    if local_rank < n:
+        order, _ = sorted_order(banks[0], ids[0], rows[0])
+        banks[0][order[local_rank]] = banks[0][order[local_rank - 1]]
+    if n > 1:
+        order, _ = sorted_order(banks[1], ids[1], rows[0])
+        banks[1][order[1]] = banks[1][order[0]]
+    stacked, every_id = np.vstack(banks), np.concatenate(ids)
+    if max_rank < 3 * n:
+        order, _ = sorted_order(stacked, every_id, rows[0])
+        at_cut = order[max_rank - 1]
+        below = [c for c in order[max_rank:] if c // n != at_cut // n]
+        if below:
+            banks[below[-1] // n][below[-1] % n] = stacked[at_cut]
+    stacked = np.vstack(banks)
+    order, _ = sorted_order(stacked, every_id, rows[1 % n])
+    lower = [c for c in order if every_id[c] < ids[2][1 % n]]
+    if lower:
+        banks[2][1 % n] = stacked[lower[-1]]
+
+
+class TestOnePass:
+    """rank_banks, one pass over the stacked banks, against independent
+    single-pool build_report and cosine_by_rank calls and the sort oracle."""
+
+    @staticmethod
+    def entry(queries, pool, k_values, rank_cap):
+        report = build_report(queries, pool, k_values, rank_cap)
+        return {**report, "cosine_by_rank": cosine_by_rank(queries, pool, k_values[-1]).tolist()}
+
+    def test_matches_single_pool_calls(self):
+        seen = Counter()
+        for seed in range(90):
+            rng = np.random.default_rng(seed)
+            n, d = int(rng.integers(1, 25)), int(rng.integers(2, 6))
+            exact = seed % 3 > 0  # the other trials have random unit rows, whose heads rarely tie
+            draw = grid_rows if exact else unit_rows
+            banks, rows = [draw(rng, n, d) for _ in range(3)], draw(rng, n, d)
+            ids = [np.arange(b, 3 * n, 3) for b in range(3)]
+            grid = [1, 2, 5, n, n + 1, 2 * n, 3 * n]
+            k_values = sorted({int(rng.integers(1, n + 1)), *rng.choice(grid, size=2).tolist()} - {0})
+            rank_cap = [None, 1, 3, n][seed % 4]
+            global_k, local_k = [k for k in k_values if k <= 3 * n], [k for k in k_values if k <= n]
+            if exact:
+                plant_ties(banks, rows, ids, local_k[-1], global_k[-1])
+            pool = build_global_pool([Bank(ids[b], banks[b]) for b in range(3)])
+            # the same columns as one bank, so its head is not merged from bank heads
+            merged = build_global_pool([[Candidate(int(i), row, Modality.IMAGE) for i, row in zip(pool.ids, pool.matrix)]])
+            for b, (in_global, in_local) in enumerate(rank_banks(rows, pool, global_k[-1], local_k[-1])):
+                queries = QuerySet([Query(i, rows[i], Modality.TEXT) for i in range(n)], {i: {3 * i + b} for i in range(n)})
+                local = build_local_pool(Bank(ids[b], banks[b]))
+                assert self.entry(in_global, pool, global_k, rank_cap) == self.entry(queries, merged, global_k, rank_cap)
+                assert self.entry(in_local, local, local_k, rank_cap) == self.entry(queries, local, local_k, rank_cap)
+                for ranked, cand_rows, cand_ids, k in ((in_global, pool.matrix, pool.ids, global_k), (in_local, banks[b], ids[b], local_k)):
+                    m = k[-1]
+                    for q, rank in enumerate(ranked.ranks.tolist()):
+                        order, scores = sorted_order(cand_rows, cand_ids, rows[q])
+                        assert rank == 1 + order.tolist().index(int(np.flatnonzero(cand_ids == 3 * q + b)[0])), (seed, b, q)
+                        s = scores[order]
+                        seen["tie inside a head"] += bool(exact and (s[1:m] == s[: m - 1]).any())
+                        seen["tie at a cut"] += bool(exact and m < len(s) and s[m - 1] == s[m])
+                        seen["tied ground truth beyond max_rank"] += bool(exact and rank > m and (s == s[rank - 1]).sum() > 1)
+                        if len(cand_ids) == 3 * n and m < 3 * n and s[m - 1] == s[m]:
+                            seen["tie at the global cut across banks"] += bool(cand_ids[order[m - 1]] % 3 != cand_ids[order[m]] % 3)
+            seen["pool size equals max K"] += local_k[-1] == n or global_k[-1] == 3 * n
+            seen["a K fits the global pool only"] += global_k[-1] > n
+            seen["rank_cap set"] += rank_cap is not None
+        assert all(seen[kind] > 0 for kind in (
+            "tie inside a head", "tie at a cut", "tied ground truth beyond max_rank", "tie at the global cut across banks",
+            "pool size equals max K", "a K fits the global pool only", "rank_cap set")), seen
 
 
 def csv_module_table(report):
@@ -529,7 +614,7 @@ def csv_module_table(report):
 @pytest.mark.parametrize("k_values", [[1, 5, 10], [4], [1, 2, 3, 40]])
 def test_csv_matches_csv_module(rank_cap, k_values):
     rng = np.random.default_rng(31)
-    pool = RetrievalPool(make_candidates(rng, 40, 5), PoolSetting.GLOBAL)
+    pool = build_global_pool([make_candidates(rng, 40, 5)])
     queries = make_query_set(rng, pool, 90, 5, gt_per_query=2)
     report = build_report(queries, pool, k_values=k_values, rank_cap=rank_cap)
     assert report_csv(report) == csv_module_table(report)

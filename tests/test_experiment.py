@@ -103,6 +103,30 @@ class TestConfig:
         with pytest.raises(ConfigError, match="k_values"):
             ExperimentConfig.from_dict({"eval": {"k_values": []}})
 
+    @pytest.mark.parametrize(
+        "eval_section",
+        [{"k_values": [0, 5]}, {"k_values": [-1]}, {"k_values": [2.7]}, {"k_values": [5.0]}, {"k_values": ["7"]},
+         {"k_values": [True]}, {"k_values": (1, 5)}, {"k_values": None}, {"rank_cap": 0}, {"rank_cap": -3},
+         {"rank_cap": 2.5}, {"rank_cap": "7"}, {"rank_cap": True}],
+    )
+    def test_non_int_or_non_positive_k_or_rank_cap_rejected(self, eval_section):
+        with pytest.raises(ConfigError, match="k_values" if "k_values" in eval_section else "rank_cap"):
+            ExperimentConfig.from_dict({"eval": eval_section})
+
+    @pytest.mark.parametrize(
+        "raw, run_hash",
+        [
+            ({}, "14c82dda6a6f285a36cdc8d37c492af9cd6fb62f4a367165a436a49bc16e3dff"),
+            ({"eval": {"k_values": [20, 1, 5, 5, 1], "rank_cap": 7}},
+             "f51c27a61470c6bc6484f7607428d013e1a19b4e1c6cdf733acdd642a78ca8ac"),
+            ({"seed": 3, "eval": {"k_values": [50], "rank_cap": None}},
+             "8e74744742af2d414e9cfcc37d250f8a051c7f3676cacb5bb48a026e74fd2f01"),
+        ],
+    )
+    def test_valid_eval_grids_keep_their_run_hash(self, raw, run_hash):
+        # hashes of configs materialized before the K and rank_cap checks existed
+        assert ExperimentConfig.from_dict(raw).run_hash() == run_hash
+
     def test_invalid_variant_rejected(self):
         with pytest.raises(ConfigError, match="variant"):
             ExperimentConfig.from_dict({"variant": "contrastive"})
