@@ -7,17 +7,18 @@ settings exist: a Local pool holds one (modality, task) bank, a Global pool
 stacks candidate banks, each bank a range of its columns.
 
 Every metric comes from one scoring pass (_pass): query rows are scored
-against the whole pool in row blocks of about _BLOCK_BYTES, one gemm each, as
-in blocked exact flat search (Johnson et al., arXiv 1702.08734), and every
-ranking is read off the block. A bank's head (its best max_rank columns, best
-first) is one argpartition, and the pool's head is taken from the union of
-the bank heads, which holds it; a row with a tie inside a head or across its
-cut takes its full (score, id) order. A ground truth's rank is its place in
-the head, and only rows whose ground truth falls outside are counted,
-1 + #(s > s_g) + #(s == s_g and id < id_g). Cosines are per-pair dot products,
-bit-identical to ``candidate @ query``; the pool head's are gathered from the
-bank heads'. rank_banks makes one pass for a query modality's tasks, one per
-bank, and build_report and cosine_by_rank read each task's entries off it.
+against the whole pool in row blocks of about _BLOCK_BYTES (at least
+_BLOCK_ROWS rows), one gemm each, as in blocked exact flat search (Johnson et
+al., arXiv 1702.08734), and every ranking is read off the block. A bank's head
+(its best max_rank columns, best first) is one argpartition, and the head of a
+pool of several banks is taken from the union of the bank heads, which holds
+it; a row with a tie inside a head or across its cut takes its full (score,
+id) order. A ground truth's rank is its place in the head, and only rows whose
+ground truth falls outside are counted, 1 + #(s > s_g) + #(s == s_g and
+id < id_g). Cosines are per-pair dot products, bit-identical to
+``candidate @ query``; the pool head's are gathered from the bank heads'.
+rank_banks makes one pass for a query modality's tasks, one per bank, and
+build_report and cosine_by_rank read each task's entries off it.
 """
 
 from __future__ import annotations
@@ -37,8 +38,10 @@ from .errors import (
     ShapeMismatchError,
 )
 
-# Bytes of one score block, which holds _BLOCK_BYTES // (8 * pool size) query rows.
+# Bytes of one score block, which holds _BLOCK_BYTES // (8 * pool size) query
+# rows, but at least _BLOCK_ROWS, so a large pool still scores many rows per gemm.
 _BLOCK_BYTES = 1 << 20
+_BLOCK_ROWS = 64
 
 
 class Candidate(NamedTuple):
@@ -119,12 +122,14 @@ class QuerySet:
 
 class Ranked(NamedTuple):
     """What a pass found for a query set in one pool: query ids in row order, each
-    query's best ground-truth rank and cosine, and the mean cosine-by-rank curve."""
+    query's best ground-truth rank and cosine, the mean cosine-by-rank curve, and
+    the ids of the pool's candidates, in column order."""
 
     queries: Sequence[int]
     ranks: np.ndarray
     gt_cosines: list[float]
     curve: np.ndarray
+    pool_ids: np.ndarray
 
 
 def _ground_truth_columns(queries: QuerySet, pool: RetrievalPool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -209,33 +214,50 @@ def _pass(rows: np.ndarray, pool: RetrievalPool, max_rank: int, rankings) -> tup
     curve over its head, and for each (range, ground truth) of rankings, ground
     truth as _ground_truth_columns gives it, each query's best rank in that range.
     """
+    single = len(pool.ranges) == 1  # one bank, whose range is the whole pool's: ranked once
     ranges = [(0, pool.size), *pool.ranges]
-    cosines = [np.empty((len(rows), min(max_rank, hi - lo))) for lo, hi in ranges]
+    cosines = [np.empty((len(rows), min(max_rank, hi - lo))) for lo, hi in ranges[: 1 if single else None]]
     found = [np.empty(len(starts) - 1, dtype=np.int64) for _, (_, _, starts) in rankings]
-    step = max(1, _BLOCK_BYTES // (8 * pool.size))
+    step = max(_BLOCK_ROWS, _BLOCK_BYTES // (8 * pool.size))
     for start in range(0, len(rows), step):
         block = rows[start : start + step]
         stop, scores = start + len(block), block @ pool.matrix.T
-        heads = [lo + _heads(scores[:, lo:hi], pool.ids[lo:hi], min(max_rank, hi - lo)) for lo, hi in pool.ranges]
-        union = np.hstack(heads)  # it holds the pool's head
-        pick = _heads(_take_rows(scores, union), pool.ids[union], cosines[0].shape[1])
-        heads.insert(0, _take_rows(union, pick))
-        bank_cosines = [_pair_dots(np.take(pool.matrix, h, axis=0), block[:, None, :]) for h in heads[1:]]
-        for curve, c in zip(cosines, [_take_rows(np.hstack(bank_cosines), pick), *bank_cosines]):
+        if single:
+            heads = [_heads(scores, pool.ids, cosines[0].shape[1])] * 2
+            block_cosines = [_pair_dots(np.take(pool.matrix, heads[0], axis=0), block[:, None, :])]
+        else:
+            heads = [lo + _heads(scores[:, lo:hi], pool.ids[lo:hi], min(max_rank, hi - lo)) for lo, hi in pool.ranges]
+            union = np.hstack(heads)  # it holds the pool's head
+            pick = _heads(_take_rows(scores, union), pool.ids[union], cosines[0].shape[1])
+            heads.insert(0, _take_rows(union, pick))
+            bank_cosines = [_pair_dots(np.take(pool.matrix, h, axis=0), block[:, None, :]) for h in heads[1:]]
+            block_cosines = [_take_rows(np.hstack(bank_cosines), pick), *bank_cosines]
+        for curve, c in zip(cosines, block_cosines):
             curve[start:stop] = c
         for ranks, (r, (gt_rows, columns, starts)) in zip(found, rankings):
             e = slice(starts[start], starts[stop])
             got = _block_ranks(scores, pool.ids, heads[r], ranges[r], gt_rows[e] - start, columns[e])
             ranks[start:stop] = np.minimum.reduceat(got, starts[start:stop] - starts[start])
     # cumsum adds one query at a time, so the sum's rounding follows query order
-    return [np.cumsum(np.clip(c, -1.0, 1.0), axis=0)[-1] / len(rows) for c in cosines], found
+    curves = [np.cumsum(np.clip(c, -1.0, 1.0), axis=0)[-1] / len(rows) for c in cosines]
+    return curves * 2 if single else curves, found
 
 
 def _ranked(queries: QuerySet, pool: RetrievalPool, max_rank: int) -> Ranked:
     """One query set's pass against the whole pool, its curve up to max_rank."""
     gt = _ground_truth_columns(queries, pool)
     curves, (ranks,) = _pass(queries.rows, pool, max_rank, [(0, gt)])
-    return Ranked(queries._truth[0], ranks, _gt_cosines(queries.rows, pool.matrix, gt), curves[0])
+    return Ranked(queries._truth[0], ranks, _gt_cosines(queries.rows, pool.matrix, gt), curves[0], pool.ids)
+
+
+def _found(queries: QuerySet | Ranked, pool: RetrievalPool, max_rank: int) -> Ranked:
+    """queries' pass result in pool: a QuerySet is run through a pass here (curve
+    up to max_rank); a Ranked must have been ranked among the pool's candidates."""
+    if not isinstance(queries, Ranked):
+        return _ranked(queries, pool, max_rank)
+    if not np.array_equal(queries.pool_ids, pool.ids):
+        raise ConfigError(f"ranked among {len(queries.pool_ids)} other candidates, not this pool's {pool.size}")
+    return queries
 
 
 def rank_banks(rows: np.ndarray, pool: RetrievalPool, max_rank: int, local_rank: int) -> list[tuple[Ranked, Ranked]]:
@@ -248,28 +270,46 @@ def rank_banks(rows: np.ndarray, pool: RetrievalPool, max_rank: int, local_rank:
     truths = [(np.arange(n), lo + np.arange(n), np.arange(n + 1)) for lo, _ in pool.ranges]
     curves, ranks = _pass(rows, pool, max_rank, [*((0, gt) for gt in truths), *zip(range(1, k + 1), truths)])
     cosines = [_gt_cosines(rows, pool.matrix, gt) for gt in truths]
-    whole = [Ranked(range(n), ranks[b], cosines[b], curves[0]) for b in range(k)]
-    return list(zip(whole, [Ranked(range(n), ranks[k + b], cosines[b], curves[1 + b][:local_rank]) for b in range(k)]))
+    whole = [Ranked(range(n), ranks[b], cosines[b], curves[0], pool.ids) for b in range(k)]
+    local = [
+        Ranked(range(n), ranks[k + b], cosines[b], curves[1 + b][:local_rank], pool.ids[lo:hi])
+        for b, (lo, hi) in enumerate(pool.ranges)
+    ]
+    return list(zip(whole, local))
 
 
 def recall_at_k(queries: QuerySet, pool: RetrievalPool, k: int) -> float:
     """Fraction of queries whose top-K hits their ground-truth set."""
-    return build_report(queries, pool, [k])["recall_at"][str(k)]
+    if not (1 <= k <= pool.size):
+        raise KOutOfRangeError(f"K={k} outside [1, {pool.size}]")
+    ranks = _ranked(queries, pool, 1).ranks  # exact at any head length: the shortest will do
+    return np.count_nonzero(ranks <= k) / len(ranks)
 
 
-def rank_of_ground_truth(queries: QuerySet, pool: RetrievalPool) -> tuple[list[int], dict[str, int]]:
-    """Per-query best (minimum, 1-based) ground-truth rank plus a histogram
-    whose buckets span [2^i, 2^(i+1)), clipped to the pool size."""
-    report = build_report(queries, pool, [1])
-    return report["ranks"], report["rank_histogram"]
+def rank_of_ground_truth(
+    queries: QuerySet,
+    pool: RetrievalPool,
+    bucket_edges: list[int] | None = None,
+) -> tuple[list[int], dict[str, int]]:
+    """Per-query best (minimum, 1-based) ground-truth rank plus a histogram.
+
+    Buckets default to powers of two up to the pool size; each bucket spans
+    [edge, next_edge) clipped to the pool size.
+    """
+    ranks = _ranked(queries, pool, 1).ranks
+    return ranks.tolist(), _histogram(ranks, pool.size, bucket_edges)
 
 
-def _histogram(ranks: np.ndarray, pool_size: int) -> dict[str, int]:
-    edges = [2**i for i in range(pool_size.bit_length())]
-    return {
-        str(lo) if lo == hi else f"{lo}-{hi}": int(np.count_nonzero((ranks >= lo) & (ranks <= hi)))
-        for lo, hi in zip(edges, [e - 1 for e in edges[1:]] + [pool_size])
-    }
+def _histogram(ranks: np.ndarray, pool_size: int, bucket_edges: list[int] | None = None) -> dict[str, int]:
+    edges = bucket_edges if bucket_edges is not None else [2**i for i in range(pool_size.bit_length())]
+    if not edges or any(e < 1 for e in edges) or sorted(edges) != list(edges):
+        raise ConfigError(f"bucket edges must be ascending and >= 1, got {edges}")
+    histogram: dict[str, int] = {}
+    for i, lo in enumerate(edges):
+        hi = min((edges[i + 1] - 1) if i + 1 < len(edges) else pool_size, pool_size)
+        label = str(lo) if lo == hi else f"{lo}-{hi}"
+        histogram[label] = int(np.count_nonzero((ranks >= lo) & (ranks <= hi)))
+    return histogram
 
 
 def build_global_pool(sources: Iterable[Bank | Iterable[Candidate]]) -> RetrievalPool:
@@ -292,7 +332,10 @@ def cosine_by_rank(queries: QuerySet | Ranked, pool: RetrievalPool, max_rank: in
     queries is a QuerySet, scored here, or what a pass found for it in this pool."""
     if not (1 <= max_rank <= pool.size):
         raise KOutOfRangeError(f"max_rank={max_rank} outside [1, {pool.size}]")
-    return (queries if isinstance(queries, Ranked) else _ranked(queries, pool, max_rank)).curve[:max_rank]
+    curve = _found(queries, pool, max_rank).curve
+    if len(curve) < max_rank:
+        raise KOutOfRangeError(f"max_rank={max_rank} beyond the {len(curve)} ranks the pass kept")
+    return curve[:max_rank]
 
 
 def build_report(
@@ -315,7 +358,7 @@ def build_report(
             raise KOutOfRangeError(f"K={k} outside [1, {pool.size}]")
     if rank_cap is not None and rank_cap < 1:
         raise ConfigError(f"rank_cap must be >= 1, got {rank_cap}")
-    ranked = queries if isinstance(queries, Ranked) else _ranked(queries, pool, max(k_values, default=1))
+    ranked = _found(queries, pool, max(k_values, default=1))
     ranks = ranked.ranks
     report = {
         "setting": pool.setting,

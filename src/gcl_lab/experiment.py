@@ -22,7 +22,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -201,11 +201,30 @@ class ExperimentConfig:
         return hashlib.sha256(canonical.encode()).hexdigest()
 
     def train_config(self) -> TrainConfig:
-        """The train section as a TrainConfig, whose field names are its keys but the nested loss's and encoder's."""
-        t = dict(self.materialized["train"])
-        loss = LossConfig(tau=t.pop("tau"), denominator_mode=DenominatorMode(t.pop("denominator_mode")))
-        encoder = EncoderConfig(d_in=self.data["d_in"], d_out=t.pop("d_out"), hidden=t.pop("hidden"))
-        return TrainConfig(variant=self.variant, seed=self.seed, loss=loss, encoder=encoder, **t)
+        t = self.materialized["train"]
+        return TrainConfig(
+            variant=self.variant,
+            loss=LossConfig(
+                tau=t["tau"],
+                denominator_mode=DenominatorMode(t["denominator_mode"]),
+            ),
+            batch_size=t["batch_size"],
+            epochs=t["epochs"],
+            base_lr=t["base_lr"],
+            weight_decay=t["weight_decay"],
+            warmup_steps=t["warmup_steps"],
+            seed=self.seed,
+            encoder=EncoderConfig(
+                d_in=self.data["d_in"], d_out=t["d_out"], hidden=t["hidden"]
+            ),
+            renormalize_fusion=t["renormalize_fusion"],
+            freeze_image=t["freeze_image"],
+            freeze_text=t["freeze_text"],
+            learnable_tau=t["learnable_tau"],
+            tau_min=t["tau_min"],
+            tau_max=t["tau_max"],
+            triplet_weight=t["triplet_weight"],
+        )
 
 
 # ExperimentPaths attribute -> (its directory attribute, file name)
@@ -474,24 +493,28 @@ def cmd_verify(cfg: ExperimentConfig, paths: ExperimentPaths | None = None) -> d
 
 def _first_differences(a, b, path: str, limit: int = 3) -> str:
     """Human-readable description of the first few leaf-level mismatches."""
+    found: list[str] = []
 
     def walk(x, y, where):
+        if len(found) >= limit:
+            return
         if isinstance(x, dict) and isinstance(y, dict):
             for key in sorted(set(x) | set(y)):
                 if key not in x or key not in y:
-                    yield f"{where}.{key} present on one side only"
+                    found.append(f"{where}.{key} present on one side only")
                 else:
-                    yield from walk(x[key], y[key], f"{where}.{key}")
+                    walk(x[key], y[key], f"{where}.{key}")
         elif isinstance(x, list) and isinstance(y, list):
             if len(x) != len(y):
-                yield f"{where} lengths {len(x)} != {len(y)}"
-            else:
-                for i, (xi, yi) in enumerate(zip(x, y)):
-                    yield from walk(xi, yi, f"{where}[{i}]")
+                found.append(f"{where} lengths {len(x)} != {len(y)}")
+                return
+            for i, (xi, yi) in enumerate(zip(x, y)):
+                walk(xi, yi, f"{where}[{i}]")
         elif x != y:
-            yield f"{where}: stored {x!r} != recomputed {y!r}"
+            found.append(f"{where}: stored {x!r} != recomputed {y!r}")
 
-    return "; ".join(islice(walk(a, b, path), limit)) or "structures differ"
+    walk(a, b, path)
+    return "; ".join(found) if found else "structures differ"
 
 
 def cmd_ablate(cfg: ExperimentConfig, paths: ExperimentPaths | None = None) -> dict:

@@ -111,25 +111,26 @@ class TestPoolConstruction:
             QuerySet(queries=[q], ground_truth={0: set()})
 
 
-def candidates_of(pool):
-    """The pool's candidates, rebuilt from its ids and rows, for the oracles."""
-    return [Candidate(id=int(cid), embedding=row, modality=Modality.IMAGE) for cid, row in zip(pool.ids, pool.matrix)]
+@pytest.fixture
+def row_floor_blocks(monkeypatch):
+    """Score blocks of _BLOCK_ROWS query rows whatever the pool size, so a test
+    with more queries than that spans several blocks."""
+    monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 0)
 
 
-def every_candidate_as_ground_truth(query, pool):
+def every_candidate_as_ground_truth(query, candidates):
     """One copy of the query per candidate, each with that candidate as its only
     ground truth, so the ranks are the candidates' places in the full ranking."""
-    ids = pool.ids.tolist()
-    queries = [Query(id=i, embedding=query, modality=Modality.TEXT) for i in range(len(ids))]
-    return QuerySet(queries=queries, ground_truth={i: {cid} for i, cid in enumerate(ids)})
+    queries = [Query(id=i, embedding=query, modality=Modality.TEXT) for i in range(len(candidates))]
+    return QuerySet(queries=queries, ground_truth={i: {c.id} for i, c in enumerate(candidates)})
 
 
-def oracle_curve(queries, pool, max_rank):
+def oracle_curve(queries, candidates, max_rank):
     """Per-query running sum of per-pair cosines down the oracle ranking."""
-    by_id = {c.id: c.embedding for c in candidates_of(pool)}
+    by_id = {c.id: c.embedding for c in candidates}
     acc = np.zeros(max_rank)
     for q in queries.queries:
-        head = oracle_ranking(q.embedding, candidates_of(pool))[:max_rank]
+        head = oracle_ranking(q.embedding, candidates)[:max_rank]
         acc += np.clip([by_id[cid] @ q.embedding for cid in head], -1.0, 1.0)
     return acc / len(queries.queries)
 
@@ -143,16 +144,17 @@ class TestTopK:
             rng = np.random.default_rng(seed)
             n = int(rng.integers(2, 40))
             d = int(rng.integers(2, 10))
-            pool = build_global_pool([make_candidates(rng, n, d)])
+            cands = make_candidates(rng, n, d)
+            pool = build_global_pool([cands])
             query = unit_rows(rng, 1, d)[0]
             k = int(rng.integers(1, n + 1))
-            order = oracle_ranking(query, candidates_of(pool))
-            queries = every_candidate_as_ground_truth(query, pool)
+            order = oracle_ranking(query, cands)
+            queries = every_candidate_as_ground_truth(query, cands)
             ranks, _ = rank_of_ground_truth(queries, pool)
-            assert ranks == [order.index(cid) + 1 for cid in pool.ids.tolist()]
+            assert ranks == [order.index(c.id) + 1 for c in cands]
             assert recall_at_k(queries, pool, k) == k / n
             single = QuerySet(queries=queries.queries[:1], ground_truth={0: {order[0]}})
-            assert np.array_equal(cosine_by_rank(single, pool, k), oracle_curve(single, pool, k))
+            assert np.array_equal(cosine_by_rank(single, pool, k), oracle_curve(single, cands, k))
 
     def test_ties_broken_by_ascending_id(self):
         emb = np.array([1.0, 0.0])
@@ -161,7 +163,7 @@ class TestTopK:
             for i in (7, 3, 5)
         ]
         pool = build_local_pool(cands)
-        ranks, _ = rank_of_ground_truth(every_candidate_as_ground_truth(emb, pool), pool)
+        ranks, _ = rank_of_ground_truth(every_candidate_as_ground_truth(emb, cands), pool)
         assert ranks == [3, 1, 2]
 
     def test_insertion_order_invariance(self):
@@ -170,7 +172,7 @@ class TestTopK:
         query = unit_rows(rng, 1, 6)[0]
         pool_fwd = build_global_pool([cands])
         pool_rev = build_global_pool([list(reversed(cands))])
-        queries = every_candidate_as_ground_truth(query, pool_fwd)
+        queries = every_candidate_as_ground_truth(query, cands)
         assert rank_of_ground_truth(queries, pool_fwd) == rank_of_ground_truth(queries, pool_rev)
         assert np.array_equal(cosine_by_rank(queries, pool_fwd, 20), cosine_by_rank(queries, pool_rev, 20))
 
@@ -234,15 +236,16 @@ class TestRecall:
 
 
 class TestRankOfGroundTruth:
-    def test_ranks_match_oracle(self):
+    def test_ranks_match_oracle(self, row_floor_blocks):
         # The last case has 150 queries: two full score blocks and a partial one.
         for seed, n_queries in [(s, 6) for s in range(30)] + [(30, 150)]:
             rng = np.random.default_rng(300 + seed)
-            pool = build_global_pool([make_candidates(rng, 25, 4)])
+            cands = make_candidates(rng, 25, 4)
+            pool = build_global_pool([cands])
             queries = make_query_set(rng, pool, n_queries, 4, gt_per_query=3)
             ranks, _ = rank_of_ground_truth(queries, pool)
             for q, rank in zip(queries.queries, ranks):
-                order = oracle_ranking(q.embedding, candidates_of(pool))
+                order = oracle_ranking(q.embedding, cands)
                 expected = min(order.index(g) + 1 for g in queries.ground_truth[q.id])
                 assert rank == expected
 
@@ -282,6 +285,15 @@ class TestRankOfGroundTruth:
         assert ranks == [3]
         assert hist == {"1": 0, "2-3": 1, "4": 0}
 
+    def test_bad_bucket_edges_rejected(self):
+        rng = np.random.default_rng(7)
+        pool = build_global_pool([make_candidates(rng, 5, 3)])
+        queries = make_query_set(rng, pool, 2, 3)
+        with pytest.raises(ConfigError):
+            rank_of_ground_truth(queries, pool, bucket_edges=[2, 1])
+        with pytest.raises(ConfigError):
+            rank_of_ground_truth(queries, pool, bucket_edges=[0, 1])
+
 
 class TestCosines:
     def test_gt_cosine_picks_best_ranked(self):
@@ -305,15 +317,16 @@ class TestCosines:
             curve = cosine_by_rank(queries, pool, 15)
             assert np.all(np.diff(curve) <= 1e-12)
 
-    def test_cosine_by_rank_matches_oracle(self):
+    def test_cosine_by_rank_matches_oracle(self, row_floor_blocks):
         # 150 queries span two full score blocks and a partial one.
         rng = np.random.default_rng(8)
-        pool = build_global_pool([make_candidates(rng, 10, 3)])
+        cands = make_candidates(rng, 10, 3)
+        pool = build_global_pool([cands])
         for n_queries in (4, 150):
             queries = make_query_set(rng, pool, n_queries, 3)
-            assert np.array_equal(cosine_by_rank(queries, pool, 5), oracle_curve(queries, pool, 5))
+            assert np.array_equal(cosine_by_rank(queries, pool, 5), oracle_curve(queries, cands, 5))
 
-    def test_cosine_by_rank_ties_straddling_cut(self):
+    def test_cosine_by_rank_ties_straddling_cut(self, row_floor_blocks):
         # Six candidates tie at score 0.6 across the cut at rank 5, so the head
         # must take the tied ids in ascending order, not in partition order.
         rng = np.random.default_rng(15)
@@ -325,15 +338,15 @@ class TestCosines:
         ]
         pool = build_local_pool(cands)
         query = np.array([1.0, 0.0])
-        scores = pool.matrix @ query
-        heads = evaluation._heads(np.tile(scores, (3, 1)), pool.ids, 5)
-        assert pool.ids[heads].tolist() == [oracle_ranking(query, candidates_of(pool))[:5]] * 3
+        scores = np.array(rows) @ query
+        heads = evaluation._heads(np.tile(scores, (3, 1)), ids, 5)
+        assert ids[heads].tolist() == [oracle_ranking(query, cands)[:5]] * 3
         queries = QuerySet(
             queries=[Query(id=i, embedding=query, modality=Modality.TEXT) for i in range(70)],
             ground_truth={i: {int(ids[0])} for i in range(70)},
         )
         for max_rank in (4, 5, 9, 13):
-            assert np.array_equal(cosine_by_rank(queries, pool, max_rank), oracle_curve(queries, pool, max_rank))
+            assert np.array_equal(cosine_by_rank(queries, pool, max_rank), oracle_curve(queries, cands, max_rank))
 
     def test_cosine_by_rank_range_check(self):
         rng = np.random.default_rng(9)
@@ -346,7 +359,8 @@ class TestCosines:
 class TestReport:
     def test_report_consistent_with_metric_functions(self):
         rng = np.random.default_rng(10)
-        pool = build_global_pool([make_candidates(rng, 40, 5)])
+        cands = make_candidates(rng, 40, 5)
+        pool = build_global_pool([cands])
         queries = make_query_set(rng, pool, 15, 5, gt_per_query=2)
         report = build_report(queries, pool, k_values=[1, 5, 10])
         for k in (1, 5, 10):
@@ -356,7 +370,7 @@ class TestReport:
         assert report["rank_histogram"] == hist
         # the best-ranked ground truth is the one with the highest cosine
         best_gt = [
-            max(float(q.embedding @ c.embedding) for c in candidates_of(pool) if c.id in queries.ground_truth[q.id])
+            max(float(q.embedding @ c.embedding) for c in cands if c.id in queries.ground_truth[q.id])
             for q in queries.queries
         ]
         assert report["gt_cosines"] == pytest.approx(best_gt, abs=1e-12)
@@ -373,7 +387,7 @@ class TestReport:
         assert report["rank_histogram"] == {"1": 2}
         assert report["recall_at"] == {"1": 1.0}
         assert report["gt_cosines"] == [pytest.approx(0.6), pytest.approx(0.8)]
-        assert np.array_equal(cosine_by_rank(queries, pool, 1), oracle_curve(queries, pool, 1))
+        assert np.array_equal(cosine_by_rank(queries, pool, 1), oracle_curve(queries, [cand], 1))
 
     def test_report_recall_monotone(self):
         rng = np.random.default_rng(12)
@@ -446,7 +460,7 @@ class TestBenchmarkScaleAnalog:
         values = [report["recall_at"][str(k)] for k in report["k_values"]]
         assert all(a <= b for a, b in zip(values, values[1:]))
         for q, rank in list(zip(queries.queries, report["ranks"]))[:5]:
-            order = oracle_ranking(q.embedding, candidates_of(pool))
+            order = oracle_ranking(q.embedding, [c for bank in banks for c in bank])
             assert rank == min(order.index(g) + 1 for g in queries.ground_truth[q.id])
 
 
@@ -478,27 +492,29 @@ class TestTiePaths:
             heads = evaluation._heads(scores, ids, 4)
             assert ids[heads].tolist() == oracle_heads(scores, ids, 4), trial
 
-    def test_pool_size_equals_max_rank(self):
+    def test_pool_size_equals_max_rank(self, row_floor_blocks):
         rng = np.random.default_rng(22)
         for seed in range(20):
             n = int(rng.integers(1, 12))
             ids = rng.choice(50, size=n, replace=False)
             scores = rng.integers(0, 3, size=(7, n)) / 2.0  # heavy ties
             assert ids[evaluation._heads(scores, ids, n)].tolist() == oracle_heads(scores, ids, n)
-            pool = build_global_pool([tied_candidates(rng, n, ids)])
+            cands = tied_candidates(rng, n, ids)
+            pool = build_global_pool([cands])
             queries = make_query_set(rng, pool, 70, 4)
-            assert np.array_equal(cosine_by_rank(queries, pool, n), oracle_curve(queries, pool, n))
-            assert np.array_equal(cosine_by_rank(queries, pool, n - 1 or 1), oracle_curve(queries, pool, n - 1 or 1))
+            assert np.array_equal(cosine_by_rank(queries, pool, n), oracle_curve(queries, cands, n))
+            assert np.array_equal(cosine_by_rank(queries, pool, n - 1 or 1), oracle_curve(queries, cands, n - 1 or 1))
 
     @pytest.mark.parametrize("gt_per_query", [1, 2, 3])
-    def test_tied_ground_truth_score(self, gt_per_query):
+    def test_tied_ground_truth_score(self, gt_per_query, row_floor_blocks):
         # Ground truth shares its score with candidates of lower and higher ids,
         # in the one-ground-truth path and the several-ground-truth path; 70
         # queries span two score blocks.
         rng = np.random.default_rng(23 + gt_per_query)
         for trial in range(10):
             ids = rng.choice(200, size=30, replace=False)
-            pool = build_global_pool([tied_candidates(rng, 30, ids)])
+            cands = tied_candidates(rng, 30, ids)
+            pool = build_global_pool([cands])
             directions = unit_rows(rng, 2, 4)
             queries, gt = [], {}
             for i in range(70):
@@ -507,7 +523,7 @@ class TestTiePaths:
             query_set = QuerySet(queries=queries, ground_truth=gt)
             ranks, _ = rank_of_ground_truth(query_set, pool)
             for q, rank in zip(queries, ranks):
-                order = oracle_ranking(q.embedding, candidates_of(pool))
+                order = oracle_ranking(q.embedding, cands)
                 assert rank == min(order.index(g) + 1 for g in gt[q.id]), (trial, q.id)
 
 
@@ -573,14 +589,15 @@ class TestOnePass:
             if exact:
                 plant_ties(banks, rows, ids, local_k[-1], global_k[-1])
             pool = build_global_pool([Bank(ids[b], banks[b]) for b in range(3)])
-            # the same columns as one bank, so its head is not merged from bank heads
-            merged = build_global_pool([[Candidate(int(i), row, Modality.IMAGE) for i, row in zip(pool.ids, pool.matrix)]])
+            stacked, every_id = np.vstack(banks), np.concatenate(ids)
+            # the same candidates as one bank, so its head is not merged from bank heads
+            merged = build_global_pool([[Candidate(int(i), row, Modality.IMAGE) for i, row in zip(every_id, stacked)]])
             for b, (in_global, in_local) in enumerate(rank_banks(rows, pool, global_k[-1], local_k[-1])):
                 queries = QuerySet([Query(i, rows[i], Modality.TEXT) for i in range(n)], {i: {3 * i + b} for i in range(n)})
                 local = build_local_pool(Bank(ids[b], banks[b]))
                 assert self.entry(in_global, pool, global_k, rank_cap) == self.entry(queries, merged, global_k, rank_cap)
                 assert self.entry(in_local, local, local_k, rank_cap) == self.entry(queries, local, local_k, rank_cap)
-                for ranked, cand_rows, cand_ids, k in ((in_global, pool.matrix, pool.ids, global_k), (in_local, banks[b], ids[b], local_k)):
+                for ranked, cand_rows, cand_ids, k in ((in_global, stacked, every_id, global_k), (in_local, banks[b], ids[b], local_k)):
                     m = k[-1]
                     for q, rank in enumerate(ranked.ranks.tolist()):
                         order, scores = sorted_order(cand_rows, cand_ids, rows[q])
@@ -597,6 +614,35 @@ class TestOnePass:
         assert all(seen[kind] > 0 for kind in (
             "tie inside a head", "tie at a cut", "tied ground truth beyond max_rank", "tie at the global cut across banks",
             "pool size equals max K", "a K fits the global pool only", "rank_cap set")), seen
+
+    def test_blocks_do_not_change_the_result(self, monkeypatch):
+        # 150 query rows of exact, heavily tied scores: one block, then three
+        rng = np.random.default_rng(41)
+        banks, rows = [grid_rows(rng, 150, 3) for _ in range(3)], grid_rows(rng, 150, 3)
+        pool = build_global_pool([Bank(np.arange(b, 450, 3), banks[b]) for b in range(3)])
+        one_block = rank_banks(rows, pool, 20, 10)
+        monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 0)
+        for task, (in_global, in_local) in zip(one_block, rank_banks(rows, pool, 20, 10)):
+            for a, b in zip(task, (in_global, in_local)):
+                assert np.array_equal(a.ranks, b.ranks) and np.array_equal(a.curve, b.curve)
+                assert a.gt_cosines == b.gt_cosines
+
+    def test_pass_result_is_read_only_in_its_own_pool(self):
+        rng = np.random.default_rng(42)
+        banks, rows = [unit_rows(rng, 6, 3) for _ in range(3)], unit_rows(rng, 6, 3)
+        pool = build_global_pool([Bank(np.arange(b, 18, 3), banks[b]) for b in range(3)])
+        (in_global, in_local), *_ = rank_banks(rows, pool, 4, 2)
+        local = build_local_pool(Bank(np.arange(0, 18, 3), banks[0]))
+        assert build_report(in_local, local, [1, 2])["ranks"] == in_local.ranks.tolist()
+        with pytest.raises(ConfigError, match="not this pool's 6"):
+            build_report(in_global, local, [1])
+        with pytest.raises(ConfigError, match="not this pool's 18"):
+            cosine_by_rank(in_local, pool, 2)
+        # the curve was kept to rank 2 (local) and 4 (global), not to the pool size
+        with pytest.raises(KOutOfRangeError, match="beyond the 2 ranks"):
+            cosine_by_rank(in_local, local, 3)
+        with pytest.raises(KOutOfRangeError, match="beyond the 4 ranks"):
+            cosine_by_rank(in_global, pool, 5)
 
 
 def csv_module_table(report):
