@@ -25,6 +25,7 @@ class Modality(Enum):
     IMAGE = "image"
     TEXT = "text"
     FUSED = "fused"
+    __hash__ = object.__hash__  # members are singletons; Enum's own hash runs in Python on every dict lookup
 
     @property
     def code(self) -> str:
@@ -73,8 +74,8 @@ def normalize_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Raises ZeroVectorError when a row's norm is below the zero threshold.
     """
     rows = np.asarray(rows, dtype=np.float64)
-    norms = np.linalg.norm(rows, axis=1)
-    if np.any(norms < ZERO_NORM_THRESHOLD):
+    norms = np.sqrt((rows * rows).sum(axis=1))  # np.linalg.norm's own reduction, without its dispatch
+    if (norms < ZERO_NORM_THRESHOLD).any():
         bad = int(np.argmin(norms))
         raise ZeroVectorError(f"row {bad} has norm {norms[bad]:.3e}, cannot normalize")
     return rows / norms[:, None], norms
@@ -86,7 +87,7 @@ def normalize_rows_backward(grad_unit: np.ndarray, unit: np.ndarray, norms: np.n
     The Jacobian of y -> y/||y|| is (I - u u^T)/||y||, applied row-wise with
     u the normalized row.
     """
-    inner = np.sum(grad_unit * unit, axis=1, keepdims=True)
+    inner = (grad_unit * unit).sum(axis=1, keepdims=True)
     return (grad_unit - unit * inner) / norms[:, None]
 
 

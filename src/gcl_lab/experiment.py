@@ -101,19 +101,24 @@ _DEFAULTS: dict = {
     },
 }
 
+# JSON types a field takes, by its default's type: an int is not a bool or a
+# float, a float may be an int, and a null default (hidden, rank_cap) takes an int
+_FIELD_TYPES = {bool: (bool,), int: (int,), float: (float, int), type(None): (type(None), int)}
+
+
 TASKS = tuple(
     f"q_{qm.code}->c_{cm.code}" for qm in MODALITIES for cm in MODALITIES
 )
 
 
 def materialize_config(raw: dict) -> dict:
-    """Fill every default and reject unknown keys; returns the canonical dict."""
+    """Fill every default, reject unknown keys and fields of the wrong type; returns the canonical dict."""
     if not isinstance(raw, dict):
         raise ConfigError(f"experiment config must be a JSON object, got {type(raw).__name__}")
     version = raw.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported config schema_version {version}, expected {SCHEMA_VERSION}")
-    out: dict = {}
+    out, given = {}, []
     unknown = set(raw) - set(_DEFAULTS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -126,24 +131,30 @@ def materialize_config(raw: dict) -> dict:
             if bad:
                 raise ConfigError(f"unknown keys in config section {key!r}: {sorted(bad)}")
             out[key] = {**default, **section}
+            given += [(f"{key}.{name}", value, default[name]) for name, value in section.items()]
         else:
             out[key] = raw.get(key, default)
+            given.append((key, out[key], default))
+    for name, value, default in given:
+        allowed = _FIELD_TYPES.get(type(default), (type(default),))
+        if type(value) not in allowed:
+            kinds = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+            raise ConfigError(f"config field {name} must be {kinds}, got {value!r}")
+    if out["seed"] < 0:
+        raise ConfigError(f"config field seed must be >= 0, got {out['seed']}")
     k_values, rank_cap = out["eval"]["k_values"], out["eval"]["rank_cap"]
-    if type(k_values) is not list or not k_values or any(type(k) is not int or k < 1 for k in k_values):
+    if not k_values or any(type(k) is not int or k < 1 for k in k_values):
         raise ConfigError(f"eval.k_values must be a non-empty list of ints >= 1, got {k_values!r}")
-    if rank_cap is not None and (type(rank_cap) is not int or rank_cap < 1):
+    if rank_cap is not None and rank_cap < 1:
         raise ConfigError(f"eval.rank_cap must be null or an int >= 1, got {rank_cap!r}")
     out["eval"]["k_values"] = sorted(set(k_values))
-    if out["data"]["eval_pairs"] % 2 != 0:
-        raise ConfigError(
-            f"data.eval_pairs must be even (two views per concept), got {out['data']['eval_pairs']}"
-        )
-    if out["data"]["k"] > out["data"]["d_in"]:
-        raise InvalidDimsError(
-            f"latent dim k={out['data']['k']} cannot exceed feature dim d_in={out['data']['d_in']}"
-        )
-    if out["data"]["sigma"] < 0:
-        raise ConfigError(f"data.sigma must be >= 0, got {out['data']['sigma']}")
+    data = out["data"]
+    if data["eval_pairs"] % 2 != 0:
+        raise ConfigError(f"data.eval_pairs must be even (two views per concept), got {data['eval_pairs']}")
+    if data["k"] > data["d_in"]:
+        raise InvalidDimsError(f"latent dim k={data['k']} cannot exceed feature dim d_in={data['d_in']}")
+    if data["sigma"] < 0:
+        raise ConfigError(f"data.sigma must be >= 0, got {data['sigma']}")
     return out
 
 
@@ -280,14 +291,14 @@ def cmd_generate(cfg: ExperimentConfig, paths: ExperimentPaths | None = None) ->
     d = cfg.data
     # All splits share one world (projection_seed) while drawing disjoint
     # concepts and noise from their own sample seeds.
-    train_pairs, train_manifest = generate_dataset(
-        n_pairs=d["n_pairs"], k=d["k"], d_in=d["d_in"], sigma=d["sigma"], seed=cfg.seed,
-        duplication=1, split="train", projection_seed=cfg.seed,
-    )
-    eval_pairs, eval_manifest = generate_dataset(
-        n_pairs=d["eval_pairs"], k=d["k"], d_in=d["d_in"], sigma=d["sigma"], seed=cfg.seed + 1,
-        duplication=2, split="eval", projection_seed=cfg.seed,
-    )
+    def split(n_pairs, seed, duplication, name):
+        return generate_dataset(
+            n_pairs=n_pairs, k=d["k"], d_in=d["d_in"], sigma=d["sigma"], seed=seed,
+            duplication=duplication, split=name, projection_seed=cfg.seed,
+        )
+
+    train_pairs, train_manifest = split(d["n_pairs"], cfg.seed, 1, "train")
+    eval_pairs, eval_manifest = split(d["eval_pairs"], cfg.seed + 1, 2, "eval")
     write_dataset(train_pairs, train_manifest, paths.train_data)
     write_dataset(eval_pairs, eval_manifest, paths.eval_data)
     summary = {
@@ -296,10 +307,7 @@ def cmd_generate(cfg: ExperimentConfig, paths: ExperimentPaths | None = None) ->
     }
     needs_triplet = cfg.variant == "gcl_plus_triplet" and cfg.materialized["train"]["triplet_weight"] > 0
     if needs_triplet:
-        triplet_pairs, triplet_manifest = generate_dataset(
-            n_pairs=d["n_pairs"], k=d["k"], d_in=d["d_in"], sigma=d["sigma"], seed=cfg.seed + 2,
-            duplication=1, split="train", projection_seed=cfg.seed,
-        )
+        triplet_pairs, triplet_manifest = split(d["n_pairs"], cfg.seed + 2, 1, "train")
         write_dataset(triplet_pairs, triplet_manifest, paths.triplet_data)
         summary["triplet"] = {"path": str(paths.triplet_data), "n_pairs": triplet_manifest.n_pairs}
     write_json(paths.config, cfg.materialized)
@@ -323,9 +331,7 @@ def cmd_train(
     train_config = cfg.train_config()
     pairs, manifest = read_dataset(paths.train_data)
     if manifest.d_in != cfg.data["d_in"]:
-        raise ConfigError(
-            f"dataset d_in={manifest.d_in} does not match config d_in={cfg.data['d_in']}"
-        )
+        raise ConfigError(f"dataset d_in={manifest.d_in} does not match config d_in={cfg.data['d_in']}")
     second_pairs = None
     if train_config.variant == "gcl_plus_triplet" and train_config.triplet_weight > 0:
         _require(paths.triplet_data, "mixed-objective dataset", "generate")
@@ -343,14 +349,8 @@ def cmd_train(
     paths.failure.unlink(missing_ok=True)
     started = time.perf_counter()
     try:
-        _, log = train(
-            train_config,
-            pairs,
-            second_pairs=second_pairs,
-            checkpoint_path=paths.checkpoint,
-            resume_from=resume_from,
-            stop_after_epochs=stop_after_epochs,
-        )
+        _, log = train(train_config, pairs, second_pairs=second_pairs, checkpoint_path=paths.checkpoint,
+                       resume_from=resume_from, stop_after_epochs=stop_after_epochs)
     except NonFiniteGradientError as exc:
         if exc.state_dump is not None:
             write_json(paths.failure, exc.state_dump)

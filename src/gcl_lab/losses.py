@@ -259,13 +259,14 @@ def _contrastive(
         shift, total, g_c_blocks, g_t_a = -np.inf, 0.0, [], np.zeros_like(C)
         step = max(1, _SLAB_BYTES // (8 * c * n))
         for r0 in range(0, n, step) if n > 1 or not masked else ():
-            r, i = slice(r0, min(r0 + step, n)), np.arange(min(step, n - r0))
+            r = slice(r0, min(r0 + step, n))
             s = query[r] @ C.T
-            s3 = s.reshape(len(i), c, n)
+            # row j of the block meets its own pair in block k at flat index k n + r0 + j (c n + 1)
+            diagonal = [s.reshape(-1)[k * n + r0 :: c * n + 1] for k in range(c)]
             for p, k in diagonals:
-                p[r, 0] = s3[i, k, r0 + i]
-            if masked:  # diagonal entries are positives of some anchor: never negatives
-                s3[i, :, r0 + i] = -np.inf
+                p[r, 0] = diagonal[k]
+            for entries in diagonal if masked else ():  # positives of some anchor: never negatives
+                entries[...] = -np.inf
             if pooled:
                 # online normalizer: rescale what was summed under a lower shift
                 top, weight = s.max(), 1.0
@@ -305,14 +306,14 @@ def _contrastive(
             dE[a][r] += g_c
             g_dot_s += float(np.vdot(Ea[r], g_c))
         for name, b in members:
-            term_sums[name] = float(np.sum(log_z[b] - pos[b]))
+            term_sums[name] = float((log_z[b] - pos[b]).sum())
 
     scale = 1.0 / (tau * normalization)
     grad *= scale
     return LossOutput(
         value=sum(term_sums[name] for name, *_ in terms) / normalization,
         per_term={name: term_sums[name] / n for name, *_ in terms},
-        grads=LossGrads(*(dE.get(m, np.zeros((n, d))) for m in MODALITIES)),
+        grads=LossGrads(*(dE[m] if m in dE else np.zeros((n, d)) for m in MODALITIES)),
         grad_tau=-g_dot_s / tau * scale,
     )
 
@@ -323,6 +324,10 @@ def _two_direction_terms(q: Modality, c: Modality) -> list[Term]:
         (pair_name((q, c)), q, c, (c,), "row"),
         (pair_name((c, q)), c, q, (q,), "row"),
     ]
+
+
+_CL_TERMS = _two_direction_terms(_I, _T)
+_IMSEP_TERMS = _CL_TERMS + [("sep_i", _I, _T, (_I,), "row_offdiag"), ("sep_t", _T, _I, (_T,), "row_offdiag")]
 
 
 def gcl_loss(batch: TripletBatch, cfg: LossConfig | None = None) -> LossOutput:
@@ -342,13 +347,19 @@ def gcl_loss(batch: TripletBatch, cfg: LossConfig | None = None) -> LossOutput:
     return _contrastive(batch.rows, terms, cfg.tau, cfg.resolve_normalization(batch.n))
 
 
-def _check_cl_inputs(loss: str, images: EmbeddingMatrix, texts: EmbeddingMatrix, cfg: LossConfig) -> None:
-    if set(cfg.pair_set) != set(CL_PAIR_SET):
+def _image_text_loss(loss: str, terms: list[Term], images, texts, cfg: LossConfig | None, min_n=1) -> LossOutput:
+    """cl_loss and intra_modality_separation_loss: their terms over the image and text rows."""
+    cfg = cfg if cfg is not None else LossConfig(pair_set=CL_PAIR_SET)
+    if cfg.pair_set != CL_PAIR_SET:  # LossConfig keeps pairs in canonical order
         raise ConfigError(
             f"{loss} is defined for the pair set {{i2t, t2i}}, got {[pair_name(p) for p in cfg.pair_set]}"
         )
     if images.rows.shape != texts.rows.shape:
         raise ShapeMismatchError(f"image/text shapes disagree: {images.rows.shape} vs {texts.rows.shape}")
+    if images.n < min_n:
+        raise BatchTooSmallError(f"{loss} needs N >= {min_n} same-modality rows, got N={images.n}")
+    rows = {_I: images.rows, _T: texts.rows}
+    return _contrastive(rows, terms, cfg.tau, cfg.resolve_normalization(images.n))
 
 
 def cl_loss(
@@ -362,10 +373,7 @@ def cl_loss(
     of modality a against all N candidates of the opposite modality. No
     same-modality or fused negatives. Normalization defaults to 2N.
     """
-    cfg = cfg if cfg is not None else LossConfig(pair_set=CL_PAIR_SET)
-    _check_cl_inputs("cl_loss", images, texts, cfg)
-    rows = {_I: images.rows, _T: texts.rows}
-    return _contrastive(rows, _two_direction_terms(_I, _T), cfg.tau, cfg.resolve_normalization(images.n))
+    return _image_text_loss("cl_loss", _CL_TERMS, images, texts, cfg)
 
 
 def two_direction_loss(batch: TripletBatch, query: Modality, candidate: Modality, tau: float) -> LossOutput:
@@ -410,17 +418,7 @@ def intra_modality_separation_loss(
     same-modality similarities (k != j). Both parts are normalized by 2N.
     Requires N >= 2 so the separation term has at least one negative.
     """
-    cfg = cfg if cfg is not None else LossConfig(pair_set=CL_PAIR_SET)
-    _check_cl_inputs("intra_modality_separation_loss", images, texts, cfg)
-    n = images.n
-    if n < 2:
-        raise BatchTooSmallError(f"separation term needs N >= 2 same-modality rows, got N={n}")
-    terms = _two_direction_terms(_I, _T) + [
-        ("sep_i", _I, _T, (_I,), "row_offdiag"),
-        ("sep_t", _T, _I, (_T,), "row_offdiag"),
-    ]
-    rows = {_I: images.rows, _T: texts.rows}
-    return _contrastive(rows, terms, cfg.tau, cfg.resolve_normalization(n))
+    return _image_text_loss("intra_modality_separation_loss", _IMSEP_TERMS, images, texts, cfg, min_n=2)
 
 
 def loss_gradient_check(

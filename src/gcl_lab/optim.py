@@ -1,8 +1,8 @@
 """Learning-rate schedule and AdamW optimizer (decoupled weight decay).
 
-Parameters travel as flat dicts of name -> float64 array, so the optimizer
-is agnostic to encoder structure and the whole state serializes cleanly
-into checkpoints.
+Parameters travel as dicts of name -> float64 array. The update is
+elementwise, so one flat vector updates to the same bits as its pieces: the
+trainer passes one vector per set and keeps named views of it.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def adamw_step(
     for key, g in grads.items():
         if g.shape != params[key].shape:
             raise ShapeMismatchError(f"grad shape {g.shape} != param shape {params[key].shape} for {key!r}")
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NonFiniteGradientError(f"non-finite gradient in {key!r}")
 
     state.step += 1

@@ -13,9 +13,10 @@ Checkpoints use the GCLC binary format (little-endian):
     name_len u16 | name utf8 | ndim u8 | dims u32 * ndim | float64 data
 
 Arrays hold encoder parameters, AdamW moments ("opt.m.*", "opt.v.*"), and
-the optimizer step counter ("opt.step"). The trainer keeps all but the step
-in one name -> array state table: a resume copies the stored arrays into it,
-and save_checkpoint writes it, plus the step, as the named arrays it takes.
+the optimizer step counter ("opt.step"). The optimized parameters, their
+gradients and each moment are one flat vector per set; the trainer keeps all
+but the step in one name -> view state table, in checkpoint order: a resume
+copies the stored arrays into it, and save_checkpoint writes it and the step.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import read_header, reading, write_atomic
-from .embeddings import Modality, fuse_sum_rows, normalize_rows, normalize_rows_backward
+from .embeddings import EmbeddingMatrix, Modality, fuse_sum_rows, normalize_rows, normalize_rows_backward
 from .encoders import EncoderConfig, build_encoder, LinearEncoder, MlpEncoder
 from .errors import (
     ConfigError,
@@ -148,17 +149,15 @@ def fusion_backprop(
     The sum has identity Jacobian toward each input, so both inputs receive
     the same gradient: grad_fused itself, or (I - u u^T)/||s|| applied
     row-wise with s = e_i + e_t, u = s/||s||. A zero row of s raises
-    ZeroVectorError.
+    ZeroVectorError. An all-zero grad_fused (a loss that reads no fused
+    rows) chains to zero either way, so it is returned as it is.
     """
     if grad_fused.shape != e_i.shape or e_i.shape != e_t.shape:
-        raise ShapeMismatchError(
-            f"fusion_backprop shapes disagree: {grad_fused.shape}, {e_i.shape}, {e_t.shape}"
-        )
-    if not renormalize:
-        return grad_fused.copy(), grad_fused.copy()
-    u, norms = normalize_rows(e_i + e_t)
-    g = normalize_rows_backward(grad_fused, u, norms)
-    return g, g.copy()
+        raise ShapeMismatchError(f"fusion_backprop shapes disagree: {grad_fused.shape}, {e_i.shape}, {e_t.shape}")
+    if renormalize and grad_fused.any():
+        u, norms = normalize_rows(e_i + e_t)
+        grad_fused = normalize_rows_backward(grad_fused, u, norms)
+    return grad_fused, grad_fused.copy()
 
 
 def forward_batch(
@@ -171,8 +170,7 @@ def forward_batch(
     """Encode raw features into a TripletBatch (image, text, fused rows)."""
     if x_img.shape[0] != x_txt.shape[0] or x_img.shape[0] == 0:
         raise ShapeMismatchError(f"batch shapes disagree or empty: {x_img.shape} vs {x_txt.shape}")
-    e_i = image_encoder.encode(x_img)
-    e_t = text_encoder.encode(x_txt)
+    e_i, e_t = image_encoder.encode(x_img), text_encoder.encode(x_txt)
     fused = fuse_sum_rows(e_i, e_t, renormalize=renormalize_fusion)
     return TripletBatch.from_rows(e_i, e_t, fused, validate_norms=False)
 
@@ -187,43 +185,47 @@ class TrainedModel:
     tau: float
 
     def encode_batch(self, x_img: np.ndarray, x_txt: np.ndarray) -> TripletBatch:
-        return forward_batch(
-            self.image_encoder,
-            self.text_encoder,
-            x_img,
-            x_txt,
-            renormalize_fusion=self.config.renormalize_fusion,
-        )
+        return forward_batch(self.image_encoder, self.text_encoder, x_img, x_txt, self.config.renormalize_fusion)
 
 
-def _loss_for_variant(kind, drop, loss_cfg, batch):
-    """The variant's loss; for cl and imsep, loss_cfg already holds CL_PAIR_SET."""
-    if kind == "cl":
-        return cl_loss(batch.images, batch.texts, loss_cfg)
-    if kind == "imsep":
-        return intra_modality_separation_loss(batch.images, batch.texts, loss_cfg)
+def _loss_for_variant(kind, drop, loss_cfg):
+    """The variant's loss of a batch; for cl and imsep, loss_cfg already holds CL_PAIR_SET."""
     if kind == "gcl_ablation":
-        return gcl_loss_ablation(batch, drop, loss_cfg)
-    # gcl and the main term of gcl_plus_triplet
-    return gcl_loss(batch, loss_cfg)
+        return partial(gcl_loss_ablation, drop=drop, cfg=loss_cfg)
+    # gcl is also the main term of gcl_plus_triplet
+    return partial({"cl": cl_loss, "imsep": intra_modality_separation_loss}.get(kind, gcl_loss), cfg=loss_cfg)
 
 
-def _backprop(encoders, trained, x_img, x_txt, loss_of, renormalize, grads, weight):
+def _backprop(encoders, trained, x_img, x_txt, loss_of, fuses, renormalize, grads, weight):
     """Encode one batch, apply loss_of to it, and add weight times each trained
     encoder's parameter gradients into grads; returns the loss output.
 
+    loss_of gets the TripletBatch, or without fuses the image and text
+    EmbeddingMatrix: cl and imsep read no fused rows, so none are formed.
     Each encoder's output gradient is its own partial plus the fused partial
     chained through the fusion.
     """
     (e_i, cache_i), (e_t, cache_t) = encoders["img"].forward(x_img), encoders["txt"].forward(x_txt)
-    fused = fuse_sum_rows(e_i, e_t, renormalize=renormalize)
-    out = loss_of(TripletBatch.from_rows(e_i, e_t, fused, validate_norms=False))
+    if fuses:
+        fused = fuse_sum_rows(e_i, e_t, renormalize=renormalize)
+        out = loss_of(TripletBatch.from_rows(e_i, e_t, fused, validate_norms=False))
+    else:
+        out = loss_of(EmbeddingMatrix(e_i, Modality.IMAGE), EmbeddingMatrix(e_t, Modality.TEXT))
     grad_fused, _ = fusion_backprop(out.grads.fused, e_i, e_t, renormalize)
     for prefix, cache, grad_own in (("img", cache_i, out.grads.images), ("txt", cache_t, out.grads.texts)):
         if prefix in trained:
             for key, g in encoders[prefix].backward(cache, grad_own + grad_fused).items():
-                grads[f"{prefix}.{key}"] += weight * g
+                grads[f"{prefix}.{key}"] += g if weight == 1.0 else weight * g
     return out
+
+
+def _flat(like: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """One zero float64 vector, and a view of it shaped like each array of like, in name (checkpoint) order."""
+    flat, views, at = np.zeros(sum(p.size for p in like.values())), {}, 0
+    for name in sorted(like):
+        views[name] = flat[at : at + like[name].size].reshape(like[name].shape)
+        at += like[name].size
+    return flat, views
 
 
 def train(
@@ -275,19 +277,21 @@ def train(
     encoders = {prefix: build_encoder(config.encoder, init_rng) for prefix in ("img", "txt")}
     frozen = {"img": config.freeze_image, "txt": config.freeze_text}
     trained = {prefix for prefix in encoders if not frozen[prefix]}
-    params, optimized = {}, {}
-    for prefix, enc in encoders.items():
-        named = {f"{prefix}.{key}": p for key, p in enc.params.items()}
-        params.update(named)
-        if prefix in trained:
-            optimized.update(named)
+    params = {f"{prefix}.{key}": p for prefix, enc in encoders.items() for key, p in enc.params.items()}
     if config.learnable_tau:
-        params["log_tau"] = optimized["log_tau"] = np.array(math.log(config.loss.tau))
-    opt_state = OptimizerState.initialize(optimized, weight_decay=config.weight_decay)
-    grads = {name: np.zeros_like(p) for name, p in optimized.items()}
+        params["log_tau"] = np.array(math.log(config.loss.tau))
+    optimized = {name: p for name, p in params.items() if name.partition(".")[0] in trained or name == "log_tau"}
+    # the optimized parameters, their gradients and each AdamW moment: one vector per set, viewed by name
+    (flat, views), (grad_flat, grads), (m, m_views), (v, v_views) = (_flat(optimized) for _ in range(4))
+    for name, view in views.items():
+        view[...] = params[name]
+        params[name] = view
+    for prefix in trained:
+        encoders[prefix].params = {key: views[f"{prefix}.{key}"] for key in encoders[prefix].params}
+    opt_state = OptimizerState({"all": m}, {"all": v}, weight_decay=config.weight_decay)
     # everything a checkpoint holds besides the step counter, by its name in the file
-    state = {**params, **{f"opt.m.{k}": m for k, m in opt_state.m.items()}}
-    state.update({f"opt.v.{k}": v for k, v in opt_state.v.items()})
+    state = {**params, **{f"opt.m.{k}": a for k, a in m_views.items()}}
+    state.update({f"opt.v.{k}": a for k, a in v_views.items()})
 
     start_epoch = 0
     if resume_from is not None:
@@ -311,9 +315,9 @@ def train(
             f"resuming at epoch {start_epoch} of {config.epochs}"
         )
 
-    # cl and imsep read the two cross-modal pairs with the default normalization
-    loss_cfg, renormalize = config.loss, config.renormalize_fusion
-    if kind in ("cl", "imsep"):
+    # cl and imsep read the two cross-modal pairs with the default normalization, and no fused rows
+    loss_cfg, renormalize, fuses = config.loss, config.renormalize_fusion, kind not in ("cl", "imsep")
+    if not fuses:
         loss_cfg = replace(loss_cfg, pair_set=CL_PAIR_SET, normalization=None)
     log: list[dict] = []
     step = start_epoch * steps_per_epoch
@@ -327,21 +331,20 @@ def train(
             tau_now = float(np.exp(params["log_tau"])) if config.learnable_tau else config.loss.tau
             if loss_cfg.tau != tau_now:  # only a learnable tau moves; rebuilding re-validates
                 loss_cfg = replace(loss_cfg, tau=tau_now)
-            for g in grads.values():
-                g.fill(-0.0)  # the additive identity, so the first add leaves exactly the added gradient
+            grad_flat.fill(-0.0)  # the additive identity, so the first add leaves exactly the added gradient
 
-            _, x_img, x_txt = dataset_to_arrays(records[idx])
-            main_loss = partial(_loss_for_variant, kind, drop, loss_cfg)
-            out = _backprop(encoders, trained, x_img, x_txt, main_loss, renormalize, grads, 1.0)
+            _, x_img, x_txt = dataset_to_arrays(records.take(idx))
+            main_loss = _loss_for_variant(kind, drop, loss_cfg)
+            out = _backprop(encoders, trained, x_img, x_txt, main_loss, fuses, renormalize, grads, 1.0)
             value = out.value
             grad_log_tau = out.grad_tau * tau_now
             if use_mixed:
                 idx2 = order2[(b % steps2) * config.batch_size : (b % steps2 + 1) * config.batch_size]
-                _, x2_img, x2_txt = dataset_to_arrays(second_pairs.view(np.ndarray)[idx2])
+                _, x2_img, x2_txt = dataset_to_arrays(second_pairs.view(np.ndarray).take(idx2))
                 query, candidate = MIXED_TASKS[step % 2]
                 mixed_loss = partial(two_direction_loss, query=query, candidate=candidate, tau=tau_now)
                 w = config.triplet_weight
-                t_out = _backprop(encoders, trained, x2_img, x2_txt, mixed_loss, renormalize, grads, w)
+                t_out = _backprop(encoders, trained, x2_img, x2_txt, mixed_loss, True, renormalize, grads, w)
                 value = value + w * t_out.value
                 grad_log_tau += w * t_out.grad_tau * tau_now
             if config.learnable_tau:
@@ -353,24 +356,19 @@ def train(
                 "loss": value,
                 "lr": lr_at(step, sched),
                 "tau": tau_now,
-                "per_term": {k: v for k, v in sorted(out.per_term.items())},
+                "per_term": dict(sorted(out.per_term.items())),
             }
             if use_mixed:
                 record["triplet_loss"] = t_out.value
             if not math.isfinite(value):
                 raise DivergenceDetectedError(f"loss became non-finite at step {step} (epoch {epoch})")
             try:
-                adamw_step(optimized, grads, opt_state, record["lr"])
+                adamw_step({"all": flat}, {"all": grad_flat}, opt_state, record["lr"])
             except NonFiniteGradientError:
                 bad = [k for k, g in grads.items() if not np.all(np.isfinite(g))]
                 err = NonFiniteGradientError(f"non-finite gradients at step {step} in {bad}")
-                err.state_dump = {
-                    "step": step,
-                    "epoch": epoch,
-                    "loss": value,
-                    "bad_keys": bad,
-                    "param_norms": {k: float(np.linalg.norm(p)) for k, p in params.items()},
-                }
+                err.state_dump = {"step": step, "epoch": epoch, "loss": value, "bad_keys": bad}
+                err.state_dump["param_norms"] = {k: float(np.linalg.norm(p)) for k, p in params.items()}
                 raise err from None
             if config.learnable_tau:
                 log_tau = params["log_tau"]

@@ -34,11 +34,9 @@ STAGES = ("generate", "train", "eval", "verify")
 NOT_FROM_TRACER = {"trace.overhead_s"}
 
 
-@pytest.fixture(scope="module")
-def traced_run(tmp_path_factory):
-    root = tmp_path_factory.mktemp("bench")
+def run_traced(root, config):
     cfg = root / "config.json"
-    cfg.write_text(json.dumps(TINY))
+    cfg.write_text(json.dumps(config))
     tracer = Tracer()
     tracer.install("contract")
     try:
@@ -51,6 +49,18 @@ def traced_run(tmp_path_factory):
     return tracer
 
 
+@pytest.fixture(scope="module")
+def traced_run(tmp_path_factory):
+    return run_traced(tmp_path_factory.mktemp("bench"), TINY)
+
+
+def missing_metrics(tracer):
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    metrics = layer_metrics(analyse(tracer, "contract"), tracer.failed_counters)
+    assert all(math.isfinite(value) for value, _ in metrics.values())
+    return [m["name"] for m in declared if m["name"] not in NOT_FROM_TRACER and m["name"] not in metrics]
+
+
 def test_every_wrap_target_exists(traced_run):
     assert traced_run.absent == []
 
@@ -60,8 +70,12 @@ def test_every_counter_reads(traced_run):
 
 
 def test_every_declared_per_layer_metric_is_produced(traced_run):
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
-    metrics = layer_metrics(analyse(traced_run, "contract"), traced_run.failed_counters)
-    missing = [m["name"] for m in declared if m["name"] not in NOT_FROM_TRACER and m["name"] not in metrics]
-    assert missing == []
-    assert all(math.isfinite(value) for value, _ in metrics.values())
+    assert missing_metrics(traced_run) == []
+
+
+def test_cl_run_produces_every_declared_per_layer_metric(tmp_path):
+    # The data-io workload trains cl, which reads no fused rows: every function
+    # the tracer wraps must still be called by its name on that path.
+    tracer = run_traced(tmp_path, {**TINY, "variant": "cl"})
+    assert tracer.absent == [] and tracer.failed_counters == set()
+    assert missing_metrics(tracer) == []

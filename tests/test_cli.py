@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from gcl_lab.cli import _THREAD_ENV_VARS, build_parser, main
+from gcl_lab.experiment import ExperimentConfig
 
 from test_training import checkpoint_with_shape
 
@@ -76,6 +77,44 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [
+            ("data", "d_in", 32.5),
+            ("data", "n_pairs", "100"),
+            ("data", "sigma", "x"),
+            ("train", "tau", "0.1"),
+            (None, "seed", -1),
+            (None, "seed", 1.5),
+            ("train", "batch_size", 12.5),
+            ("train", "epochs", True),
+            ("train", "hidden", 4.0),
+            ("train", "freeze_image", 0),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["generate", "train", "eval", "ablate", "verify"])
+    def test_field_of_wrong_type_exits_two_before_writing(self, tmp_path, capsys, command, section, field, value):
+        raw = json.loads(json.dumps(TINY))
+        (raw.setdefault(section, {}) if section else raw)[field] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "run"
+        assert run_cli(command, "--config", str(path), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and (f"{section}.{field}" if section else field) in err
+        assert not out.exists()
+
+    def test_valid_configs_keep_their_materialized_dict_and_run_hash(self):
+        # ints where floats are expected stay ints, so the canonical form and its hash do not move
+        raw = {**TINY, "seed": 3, "train": {**TINY["train"], "tau": 1, "base_lr": 1, "hidden": 5}}
+        cfg = ExperimentConfig.from_dict(raw)
+        assert cfg.materialized["train"]["tau"] == 1 and type(cfg.materialized["train"]["tau"]) is int
+        # the hashes these configs had before field types were checked
+        assert cfg.run_hash() == "d5c502a5408bdd7c0e95de9675b4509f1d805422dcd8d93e4c6c441a21adb9ad"
+        assert ExperimentConfig.from_dict({}).run_hash() == (
+            "14c82dda6a6f285a36cdc8d37c492af9cd6fb62f4a367165a436a49bc16e3dff"
+        )
 
     def test_missing_artifacts_exit_two(self, tiny_cfg, capsys):
         assert run_cli("train", "--config", str(tiny_cfg)) == 2

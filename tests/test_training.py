@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import gcl_lab.training as training
-from gcl_lab.embeddings import Modality, l2_normalize, normalize_rows
+from gcl_lab.embeddings import Modality, l2_normalize, normalize_rows, normalize_rows_backward
 from gcl_lab.encoders import EncoderConfig, LinearEncoder, MlpEncoder, build_encoder
 from gcl_lab.errors import (
     ConfigError,
@@ -476,7 +476,10 @@ class TestMixedObjectiveTemperature:
         passed = []
 
         def recording_adamw_step(params, grads, state, lr):
-            passed.append(float(grads["log_tau"]))
+            # one flat gradient, laid out in checkpoint order: img.W, img.b, log_tau, txt.W, txt.b
+            (flat,) = grads.values()
+            encoder = config_at(log_tau).encoder
+            passed.append(float(flat[encoder.d_out * (encoder.d_in + 1)]))
             return adamw_step(params, grads, state, lr)
 
         log_tau, h = math.log(0.07), 1e-5
@@ -488,6 +491,114 @@ class TestMixedObjectiveTemperature:
         numeric = (loss_plus - loss_minus) / (2 * h)
         assert len(passed) == 1
         assert passed[0] == pytest.approx(numeric, rel=1e-6)
+
+
+def counting(monkeypatch, counts, name):
+    """Replace training.<name> by a wrapper that counts its calls in counts[name]."""
+    original = getattr(training, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(training, name, counted)
+
+
+class TestNoFusionWork:
+    @pytest.mark.parametrize("renormalize", [True, False])
+    @pytest.mark.parametrize("variant", ["cl", "imsep"])
+    def test_losses_without_fused_rows_skip_the_fusion(self, monkeypatch, variant, renormalize):
+        counts = {}
+        for name in ("fuse_sum_rows", "fusion_backprop", "normalize_rows", "normalize_rows_backward"):
+            counting(monkeypatch, counts, name)
+        _, log = train(small_config(variant=variant, renormalize_fusion=renormalize), small_dataset())
+        # fusion_backprop is still called once per step, so its benchmark span stays, but it renormalizes nothing
+        assert counts == {"fusion_backprop": len(log)}
+
+    def test_gcl_still_fuses_and_renormalizes(self, monkeypatch):
+        counts = {}
+        for name in ("fuse_sum_rows", "fusion_backprop", "normalize_rows_backward"):
+            counting(monkeypatch, counts, name)
+        _, log = train(small_config(variant="gcl"), small_dataset())
+        assert counts == {name: len(log) for name in ("fuse_sum_rows", "fusion_backprop", "normalize_rows_backward")}
+
+    @pytest.mark.parametrize("variant", ["cl", "imsep"])
+    def test_step_gradients_equal_the_fused_composition_bit_for_bit(self, monkeypatch, variant):
+        # The composition every variant used to make: fuse, chain the (zero) fused
+        # gradient through the renormalization, add it to each encoder's own
+        # partial, then run the encoder backward.
+        config, pairs = small_config(variant=variant, epochs=1), small_dataset()
+        rng = np.random.default_rng([config.seed, 0])
+        encoders = [build_encoder(config.encoder, rng) for _ in range(2)]
+        idx = np.random.default_rng([config.seed, 1, 0]).permutation(len(pairs))[: config.batch_size]
+        xs = (pairs["x_img"][idx].astype(np.float64), pairs["x_txt"][idx].astype(np.float64))
+        (e_i, cache_i), (e_t, cache_t) = (enc.forward(x) for enc, x in zip(encoders, xs))
+        batch = TripletBatch.from_rows(e_i, e_t, training.fuse_sum_rows(e_i, e_t), validate_norms=False)
+        loss = training.cl_loss if variant == "cl" else training.intra_modality_separation_loss
+        out = loss(batch.images, batch.texts, dataclasses.replace(config.loss, pair_set=CL_PAIR_SET))
+        u, norms = normalize_rows(e_i + e_t)
+        grad_fused = normalize_rows_backward(out.grads.fused, u, norms)
+        expected = {}
+        for prefix, enc, cache, own in (("img", encoders[0], cache_i, out.grads.images),
+                                        ("txt", encoders[1], cache_t, out.grads.texts)):
+            expected.update({f"{prefix}.{k}": g for k, g in enc.backward(cache, own + grad_fused).items()})
+
+        handed = []
+        monkeypatch.setattr(training, "adamw_step", lambda p, g, s, lr: handed.append(g["all"].copy()))
+        train(config, pairs)
+        flat = np.concatenate([expected[name].ravel() for name in sorted(expected)])
+        assert handed[0].tobytes() == flat.tobytes()
+
+
+class TestFlatBuffers:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"freeze_image": True},
+            {"freeze_text": True},
+            {"learnable_tau": True},
+            {"encoder": EncoderConfig(d_in=12, d_out=6, hidden=5)},
+            {"encoder": EncoderConfig(d_in=12, d_out=6, hidden=5), "freeze_image": True, "learnable_tau": True},
+        ],
+    )
+    def test_each_set_is_one_vector_viewed_in_checkpoint_order(self, monkeypatch, tmp_path, overrides):
+        config = small_config(epochs=1, **overrides)
+        seen = {}
+
+        def capture_step(params, grads, state, lr):
+            seen.update(params=params, grads=grads, m=state.m, v=state.v)
+            return adamw_step(params, grads, state, lr)
+
+        def capture_save(path, arrays, **kwargs):
+            seen["saved"] = arrays
+
+        monkeypatch.setattr(training, "adamw_step", capture_step)
+        monkeypatch.setattr(training, "save_checkpoint", capture_save)
+        model, _ = train(config, small_dataset(), checkpoint_path=tmp_path / "ckpt.gclc")
+        trained = [p for p, frozen in (("img", config.freeze_image), ("txt", config.freeze_text)) if not frozen]
+        names = sorted(
+            [f"{p}.{k}" for p in trained for k in model.image_encoder.params] + ["log_tau"] * config.learnable_tau
+        )
+        saved = seen["saved"]
+        for role, prefix in (("params", ""), ("m", "opt.m."), ("v", "opt.v.")):
+            (base,) = seen[role].values()
+            assert base.ndim == 1 and base.size == sum(saved[prefix + name].size for name in names)
+            at = 0
+            for name in names:  # every named array is the next stretch of the one vector
+                view = saved[prefix + name]
+                assert view.base is base
+                assert view.__array_interface__["data"][0] == base.__array_interface__["data"][0] + 8 * at
+                at += view.size
+        (grad_base,) = seen["grads"].values()
+        assert grad_base.shape == seen["params"]["all"].shape and grad_base is not seen["params"]["all"]
+        encoders = {"img": model.image_encoder, "txt": model.text_encoder}
+        for prefix in ("img", "txt"):
+            for key, p in encoders[prefix].params.items():
+                shares = np.shares_memory(p, seen["params"]["all"])
+                assert shares == (prefix in trained) and (not shares or p is saved[f"{prefix}.{key}"])
+        assert set(saved) == {*names, "opt.step", *(f"opt.{r}.{n}" for r in "mv" for n in names),
+                              *(f"{p}.{k}" for p in ("img", "txt") for k in encoders[p].params)}
 
 
 class TestVariantParsing:
