@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass
 from itertools import repeat
@@ -137,8 +138,9 @@ def materialize_config(raw: dict) -> dict:
             given.append((key, out[key], default))
     for name, value, default in given:
         allowed = _FIELD_TYPES.get(type(default), (type(default),))
-        if type(value) not in allowed:
-            kinds = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+        # Python's JSON reader also takes NaN and Infinity
+        if type(value) not in allowed or (type(value) is float and not math.isfinite(value)):
+            kinds = " or ".join({type(None): "null", float: "finite float"}.get(t, t.__name__) for t in allowed)
             raise ConfigError(f"config field {name} must be {kinds}, got {value!r}")
     if out["seed"] < 0:
         raise ConfigError(f"config field seed must be >= 0, got {out['seed']}")
@@ -291,14 +293,14 @@ def cmd_generate(cfg: ExperimentConfig, paths: ExperimentPaths | None = None) ->
     d = cfg.data
     # All splits share one world (projection_seed) while drawing disjoint
     # concepts and noise from their own sample seeds.
-    def split(n_pairs, seed, duplication, name):
+    def draw(n_pairs, seed, duplication, split):
         return generate_dataset(
             n_pairs=n_pairs, k=d["k"], d_in=d["d_in"], sigma=d["sigma"], seed=seed,
-            duplication=duplication, split=name, projection_seed=cfg.seed,
+            duplication=duplication, split=split, projection_seed=cfg.seed,
         )
 
-    train_pairs, train_manifest = split(d["n_pairs"], cfg.seed, 1, "train")
-    eval_pairs, eval_manifest = split(d["eval_pairs"], cfg.seed + 1, 2, "eval")
+    train_pairs, train_manifest = draw(d["n_pairs"], cfg.seed, 1, "train")
+    eval_pairs, eval_manifest = draw(d["eval_pairs"], cfg.seed + 1, 2, "eval")
     write_dataset(train_pairs, train_manifest, paths.train_data)
     write_dataset(eval_pairs, eval_manifest, paths.eval_data)
     summary = {
@@ -307,7 +309,7 @@ def cmd_generate(cfg: ExperimentConfig, paths: ExperimentPaths | None = None) ->
     }
     needs_triplet = cfg.variant == "gcl_plus_triplet" and cfg.materialized["train"]["triplet_weight"] > 0
     if needs_triplet:
-        triplet_pairs, triplet_manifest = split(d["n_pairs"], cfg.seed + 2, 1, "train")
+        triplet_pairs, triplet_manifest = draw(d["n_pairs"], cfg.seed + 2, 1, "train")
         write_dataset(triplet_pairs, triplet_manifest, paths.triplet_data)
         summary["triplet"] = {"path": str(paths.triplet_data), "n_pairs": triplet_manifest.n_pairs}
     write_json(paths.config, cfg.materialized)

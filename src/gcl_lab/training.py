@@ -189,7 +189,7 @@ class TrainedModel:
 
 
 def _loss_for_variant(kind, drop, loss_cfg):
-    """The variant's loss of a batch; for cl and imsep, loss_cfg already holds CL_PAIR_SET."""
+    """The variant's loss of a batch, looked up per call so that wrappers on these module names run."""
     if kind == "gcl_ablation":
         return partial(gcl_loss_ablation, drop=drop, cfg=loss_cfg)
     # gcl is also the main term of gcl_plus_triplet

@@ -91,6 +91,8 @@ class TestExitCodes:
             ("train", "epochs", True),
             ("train", "hidden", 4.0),
             ("train", "freeze_image", 0),
+            ("data", "sigma", float("nan")),
+            ("train", "base_lr", float("inf")),
         ],
     )
     @pytest.mark.parametrize("command", ["generate", "train", "eval", "ablate", "verify"])
