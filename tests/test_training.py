@@ -524,7 +524,7 @@ class TestNoFusionWork:
 
     @pytest.mark.parametrize("variant", ["cl", "imsep"])
     def test_step_gradients_equal_the_fused_composition_bit_for_bit(self, monkeypatch, variant):
-        # The composition every variant used to make: fuse, chain the (zero) fused
+        # The reference is the full fused composition: fuse, chain the (zero) fused
         # gradient through the renormalization, add it to each encoder's own
         # partial, then run the encoder backward.
         config, pairs = small_config(variant=variant, epochs=1), small_dataset()
