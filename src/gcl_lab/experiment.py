@@ -535,6 +535,8 @@ def cmd_ablate(cfg: ExperimentConfig, paths: ExperimentPaths | None = None) -> d
             f"ablation_k={k} not in evaluated K grid {cfg.eval_plan['k_values']} "
             f"up to the global pool size {pool_size}"
         )
+    for variant in ABLATION_VARIANTS:  # every sub-run's config (imsep: batch_size >= 2) is checked before any trains
+        cfg.with_overrides(variant=variant)
     started = time.perf_counter()
     rows = []
     for variant in ABLATION_VARIANTS:

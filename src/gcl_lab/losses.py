@@ -29,14 +29,18 @@ The variants are these term lists:
 Terms that share (query a, candidates, negatives) form a group. A group
 walks its anchors in blocks of rows sized so that the block's logit slab
 against the stacked candidate rows C (c*N x d) fits a fixed cache budget;
-no N x N block is ever stored. Each block makes one gemm for the slab
-(E_a[rows] / tau) C^T, reads the positives off its diagonals and masks them
-for the offdiag kinds, shifts, exponentiates and normalizes in place, then
-makes two gemms that push the logit gradient into dE_a[rows] and dC. The
-row kinds finish in that one pass. ``pooled_offdiag`` needs its scalar
-normalizer before any gradient, so it keeps an online max and sum over the
-blocks (Milakov & Gimelshein, arXiv 1805.02867) and defers each block's
-rows x d gradient product until the normalizer is known.
+no N x N block is stored, except one that fits the budget and serves both
+directions of a two-direction pair: a2b and b2a, each the one ``row`` term
+over the other modality, share it when its logits lie within 600 of their
+maximum, with one shift, row sums for a2b and column sums for b2a. Any other
+block makes one gemm for the slab (E_a[rows] / tau) C^T, reads the positives
+off its diagonals and masks them for the offdiag kinds, shifts, exponentiates
+and normalizes in place, then makes two gemms that push the logit gradient
+into dE_a[rows] and dC. The row kinds finish in that one pass.
+``pooled_offdiag`` needs its scalar normalizer before any gradient, so it
+keeps an online max and sum over the blocks (Milakov & Gimelshein, arXiv
+1805.02867) and defers each block's rows x d gradient product until the
+normalizer is known.
 
 Every loss returns its value, the per-term breakdown, and analytic gradients
 with respect to all three embedding matrices and the temperature. The fused
@@ -216,6 +220,23 @@ Term = tuple[str, Modality, Modality, tuple[Modality, ...], str]
 _SLAB_BYTES = 1 << 20
 
 
+def _shared_slab(ea: np.ndarray, eb: np.ndarray, tau: float):
+    """a2b's and b2a's term sums, G E_b and G^T E_a from s = (E_a / tau) E_b^T, where
+    G = X / Z_row + X / Z_col - 2I with X = exp(s - max s); None when some X may be subnormal."""
+    s = (ea / tau) @ eb.T
+    top = s.max()
+    if not s.min() >= top - 600:
+        return None
+    pos = s.diagonal().copy()
+    s -= top
+    np.exp(s, out=s)
+    z_row, z_col = s.sum(axis=1), s.sum(axis=0)
+    g = s / z_row[:, None]
+    g += s / z_col
+    g.reshape(-1)[:: len(g) + 1] -= 2.0
+    return [float((np.log(z) + top - pos).sum()) for z in (z_row, z_col)], g @ eb, g.T @ ea
+
+
 def _contrastive(
     rows: dict[Modality, np.ndarray], terms: list[Term], tau: float, normalization: float
 ) -> LossOutput:
@@ -241,6 +262,19 @@ def _contrastive(
 
     term_sums: dict[str, float] = {}
     g_dot_s = 0.0
+    # a2b and its transpose b2a share one slab when the N x N block fits the budget
+    for (a, candidates, negatives), members in list(groups.items()) if 8 * n * n <= _SLAB_BYTES else ():
+        b = candidates[0]
+        partner = groups.get((b, (a,), "row"), [])
+        if (negatives, candidates, [m[1] for m in members], [m[1] for m in partner]) != ("row", (b,), [b], [a]):
+            continue
+        if (shared := _shared_slab(rows[a], rows[b], tau)) is None:
+            break  # too wide a logit range for one shift: the pair keeps the row path
+        (term_sums[members[0][0]], term_sums[partner[0][0]]), g_b, g_a = shared
+        dE[a] += g_b
+        dE[b] += g_a
+        g_dot_s += float(np.vdot(rows[a], g_b))
+        del groups[a, candidates, negatives], groups[b, (a,), "row"]
     for (a, candidates, negatives), members in groups.items():
         c, lo = len(candidates), offset[candidates[0]]
         C, dC, Ea = stack[lo : lo + c * n], grad[lo : lo + c * n], rows[a]

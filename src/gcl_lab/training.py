@@ -119,6 +119,10 @@ class TrainConfig:
             raise ConfigError(f"triplet_weight must be >= 0, got {self.triplet_weight}")
         if not (0 < self.tau_min <= self.tau_max):
             raise ConfigError(f"need 0 < tau_min <= tau_max, got {self.tau_min}, {self.tau_max}")
+        if self.learnable_tau and not (self.tau_min <= self.loss.tau <= self.tau_max):
+            raise ConfigError(f"learnable tau starts at {self.loss.tau}, outside [{self.tau_min}, {self.tau_max}]")
+        if self.variant == "imsep" and self.batch_size < 2:
+            raise ConfigError(f"imsep needs batch_size >= 2 for its separation negatives, got {self.batch_size}")
 
     def to_dict(self) -> dict:
         d = asdict(self)

@@ -107,6 +107,41 @@ class TestExitCodes:
         assert err.startswith("config error:") and (f"{section}.{field}" if section else field) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["generate", "train", "eval", "ablate", "verify"])
+    def test_learnable_tau_starting_outside_its_range_exits_two_before_writing(self, tmp_path, capsys, command):
+        raw = json.loads(json.dumps(TINY))
+        raw["train"].update(learnable_tau=True, tau=0.45, tau_max=0.2)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "run"
+        assert run_cli(command, "--config", str(path), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "learnable tau starts at 0.45, outside [0.01, 0.2]" in err
+        assert not out.exists()
+        raw["train"]["learnable_tau"] = False  # a fixed tau is not held to the learnable range
+        ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("command", ["generate", "train"])
+    def test_imsep_batch_of_one_exits_two_before_writing(self, tmp_path, capsys, command):
+        raw = {**TINY, "variant": "imsep", "train": {**TINY["train"], "batch_size": 1}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "run"
+        assert run_cli(command, "--config", str(path), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "imsep needs batch_size >= 2" in err
+        assert not out.exists()
+
+    def test_ablate_checks_the_imsep_batch_before_any_sub_run(self, tmp_path, capsys):
+        raw = {**TINY, "variant": "gcl", "train": {**TINY["train"], "batch_size": 1}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "run"
+        assert run_cli("generate", "--config", str(path), "--out", str(out)) == 0
+        assert run_cli("ablate", "--config", str(path), "--out", str(out)) == 2
+        assert "imsep needs batch_size >= 2" in capsys.readouterr().err
+        assert not (out / "ablation").exists()
+
     def test_valid_configs_keep_their_materialized_dict_and_run_hash(self):
         # ints where floats are expected stay ints, so the canonical form and its hash do not move
         raw = {**TINY, "seed": 3, "train": {**TINY["train"], "tau": 1, "base_lr": 1, "hidden": 5}}

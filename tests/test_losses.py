@@ -33,6 +33,8 @@ from gcl_lab.losses import (
     two_direction_loss,
 )
 
+from gcl_lab.training import MIXED_TASKS
+
 from oracles import oracle_cl, oracle_gcl, oracle_imsep, oracle_separation_terms
 
 
@@ -497,3 +499,101 @@ class TestBlockedKernel:
     def test_reference_batch_is_one_block(self):
         """N = 128 against all three modalities fits one slab."""
         assert losses._SLAB_BYTES // (8 * 3 * 128) >= 128
+
+
+@pytest.fixture()
+def shared_calls(monkeypatch):
+    """Record each call of the shared-slab path: True when it ran, False when it declined."""
+    calls = []
+    shared_slab = losses._shared_slab
+
+    def counted(ea, eb, tau):
+        out = shared_slab(ea, eb, tau)
+        calls.append(out is not None)
+        return out
+
+    monkeypatch.setattr(losses, "_shared_slab", counted)
+    return calls
+
+
+def two_direction_variants():
+    """(name, smallest N, loss(batch, tau)) for every loss whose two directions can share one slab."""
+    cl_cfg = lambda tau: LossConfig(tau=tau, pair_set=CL_PAIR_SET)
+    variants = [
+        ("cl", 1, lambda b, tau: cl_loss(b.images, b.texts, cl_cfg(tau))),
+        ("imsep", 2, lambda b, tau: intra_modality_separation_loss(b.images, b.texts, cl_cfg(tau))),
+    ]
+    for query, candidate in MIXED_TASKS:
+        loss = lambda b, tau, query=query, candidate=candidate: two_direction_loss(b, query, candidate, tau)
+        variants.append((f"two_direction_{pair_name((query, candidate))}", 1, loss))
+    return variants
+
+
+SHARED_CASES = [
+    pytest.param(loss, n, d, tau, id=f"{name}-n{n}-d{d}-tau{tau}")
+    for name, min_n, loss in two_direction_variants()
+    for n in (1, 2, 3, 17, 128)
+    for d in (3, 16)
+    for tau in (0.07, 0.45)
+    if n >= min_n
+]
+
+
+def outputs_agree(got, want, tol=1e-12):
+    assert abs(got.value - want.value) < tol
+    assert set(got.per_term) == set(want.per_term)
+    for key, value in want.per_term.items():
+        assert abs(got.per_term[key] - value) < tol
+    for name in ("images", "texts", "fused"):
+        np.testing.assert_allclose(getattr(got.grads, name), getattr(want.grads, name), rtol=0, atol=tol)
+    assert abs(got.grad_tau - want.grad_tau) < tol
+
+
+class TestSharedSlab:
+    """A two-direction pair whose N x N block fits the slab budget makes one slab for both directions."""
+
+    @pytest.mark.parametrize("loss, n, d, tau", SHARED_CASES)
+    def test_matches_row_blocked_path(self, monkeypatch, shared_calls, loss, n, d, tau):
+        batch = random_batch(np.random.default_rng(1000 * n + d), n, d)
+        shared = loss(batch, tau)
+        assert shared_calls == [True]
+        monkeypatch.setattr(losses, "_SLAB_BYTES", 8 * n * n - 1)  # the N x N block no longer fits
+        blocked = loss(batch, tau)
+        assert shared_calls == [True]
+        outputs_agree(shared, blocked)
+
+    @pytest.mark.parametrize(
+        "loss, oracle",
+        [
+            (two_direction_variants()[0][2], lambda b, tau: oracle_cl(b.images.rows, b.texts.rows, tau)),
+            (two_direction_variants()[2][2], oracle_fused_image),
+        ],
+        ids=["cl", "two_direction_it2i"],
+    )
+    def test_wide_logit_range_keeps_row_blocked_path(self, shared_calls, loss, oracle):
+        """At tau = 1e-3 the logits span more than 600, so the slab declines and the row path runs."""
+        rng = np.random.default_rng(7)
+        a = 0.8 * normalize_rows(rng.standard_normal((9, 3)))[0]
+        # positives close to their anchors, so the oracle's unshifted exp neither overflows nor underflows
+        b = 0.8 * normalize_rows(a + 0.05 * rng.standard_normal((9, 3)))[0]
+        batch = TripletBatch.from_rows(a, b, a.copy(), validate_norms=False)
+        out = loss(batch, 1e-3)
+        assert shared_calls == [False]
+        want_value, want_terms = oracle(batch, 1e-3)
+        assert abs(out.value - want_value) < 1e-12 * max(1.0, abs(want_value))
+        assert out.per_term == pytest.approx(want_terms, rel=1e-12, abs=1e-12)
+
+    def test_other_groups_never_share_a_slab(self, shared_calls):
+        batch = random_batch(np.random.default_rng(8), 8, 4)
+        for mode in DenominatorMode:
+            for pair_set in (FULL_PAIR_SET, CL_PAIR_SET):
+                gcl_loss(batch, LossConfig(pair_set=pair_set, denominator_mode=mode))
+            for drop in ABLATION_DROPS:
+                gcl_loss_ablation(batch, drop, LossConfig(denominator_mode=mode))
+        assert shared_calls == []
+        intra_modality_separation_loss(batch.images, batch.texts)
+        assert shared_calls == [True]  # the i2t/t2i pair; the sep groups keep the row path
+        for n, calls in ((363, []), (362, [True])):
+            big = random_batch(np.random.default_rng(n), n, 4)
+            cl_loss(big.images, big.texts)
+            assert shared_calls[1:] == calls
