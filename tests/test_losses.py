@@ -32,7 +32,6 @@ from gcl_lab.losses import (
     pair_name,
     two_direction_loss,
 )
-
 from gcl_lab.training import MIXED_TASKS
 
 from oracles import oracle_cl, oracle_gcl, oracle_imsep, oracle_separation_terms
@@ -517,21 +516,22 @@ def shared_calls(monkeypatch):
 
 
 def two_direction_variants():
-    """(name, smallest N, loss(batch, tau)) for every loss whose two directions can share one slab."""
+    """{name: (smallest N, loss(batch, tau))} for every loss whose two directions can share one slab."""
     cl_cfg = lambda tau: LossConfig(tau=tau, pair_set=CL_PAIR_SET)
-    variants = [
-        ("cl", 1, lambda b, tau: cl_loss(b.images, b.texts, cl_cfg(tau))),
-        ("imsep", 2, lambda b, tau: intra_modality_separation_loss(b.images, b.texts, cl_cfg(tau))),
-    ]
+    variants = {
+        "cl": (1, lambda b, tau: cl_loss(b.images, b.texts, cl_cfg(tau))),
+        "imsep": (2, lambda b, tau: intra_modality_separation_loss(b.images, b.texts, cl_cfg(tau))),
+    }
     for query, candidate in MIXED_TASKS:
         loss = lambda b, tau, query=query, candidate=candidate: two_direction_loss(b, query, candidate, tau)
-        variants.append((f"two_direction_{pair_name((query, candidate))}", 1, loss))
+        variants[f"two_direction_{pair_name((query, candidate))}"] = (1, loss)
     return variants
 
 
+TWO_DIRECTION = two_direction_variants()
 SHARED_CASES = [
     pytest.param(loss, n, d, tau, id=f"{name}-n{n}-d{d}-tau{tau}")
-    for name, min_n, loss in two_direction_variants()
+    for name, (min_n, loss) in TWO_DIRECTION.items()
     for n in (1, 2, 3, 17, 128)
     for d in (3, 16)
     for tau in (0.07, 0.45)
@@ -563,15 +563,15 @@ class TestSharedSlab:
         outputs_agree(shared, blocked)
 
     @pytest.mark.parametrize(
-        "loss, oracle",
+        "name, oracle",
         [
-            (two_direction_variants()[0][2], lambda b, tau: oracle_cl(b.images.rows, b.texts.rows, tau)),
-            (two_direction_variants()[2][2], oracle_fused_image),
+            ("cl", lambda b, tau: oracle_cl(b.images.rows, b.texts.rows, tau)),
+            ("two_direction_it2i", oracle_fused_image),
         ],
-        ids=["cl", "two_direction_it2i"],
     )
-    def test_wide_logit_range_keeps_row_blocked_path(self, shared_calls, loss, oracle):
+    def test_wide_logit_range_keeps_row_blocked_path(self, shared_calls, name, oracle):
         """At tau = 1e-3 the logits span more than 600, so the slab declines and the row path runs."""
+        loss = TWO_DIRECTION[name][1]
         rng = np.random.default_rng(7)
         a = 0.8 * normalize_rows(rng.standard_normal((9, 3)))[0]
         # positives close to their anchors, so the oracle's unshifted exp neither overflows nor underflows
