@@ -3,22 +3,22 @@
 Similarity is the raw dot product on unit-norm embeddings (cosine). Ranking
 is exhaustive over the pool with ties broken by ascending candidate id, so
 results are reproducible regardless of insertion order or platform. Two pool
-settings exist: a Local pool holds one (modality, task) bank, a Global pool
-stacks candidate banks, each bank a range of its columns.
+settings exist: a Local pool holds one candidate bank, a Global pool stacks
+candidate banks, each bank a range of its columns.
 
 Every metric comes from one scoring pass (_pass): query rows are scored
 against the whole pool in row blocks of about _BLOCK_BYTES (at least
 _BLOCK_ROWS rows), one gemm each, as in blocked exact flat search (Johnson et
 al., arXiv 1702.08734), and every ranking is read off the block. A bank's head
-(its best max_rank columns, best first) is one argpartition, and the head of a
-pool of several banks is taken from the union of the bank heads, which holds
-it; a row with a tie inside a head or across its cut takes its full (score,
-id) order. A ground truth's rank is its place in the head, and only rows whose
-ground truth falls outside are counted, 1 + #(s > s_g) + #(s == s_g and
-id < id_g). Cosines are per-pair dot products, bit-identical to
-``candidate @ query``; the pool head's are gathered from the bank heads'.
-rank_banks makes one pass for a query modality's tasks, one per bank, and
-build_report and cosine_by_rank read each task's entries off it.
+(its best max_rank columns, best first) is one argpartition, and the pool's
+head is taken from the union of the bank heads, which holds it; a row with a
+tie inside a head or across its cut takes its full (score, id) order. A ground
+truth's rank is its place in the head, and only rows whose ground truth falls
+outside are counted, 1 + #(s > s_g) + #(s == s_g and id < id_g). Cosines are
+per-pair dot products, bit-identical to ``candidate @ query``; the pool head's
+are gathered from the bank heads'. rank_banks makes one pass for a query
+modality's tasks, one per bank, and build_report and cosine_by_rank read each
+task's entries off it.
 """
 
 from __future__ import annotations
@@ -45,13 +45,11 @@ _BLOCK_ROWS = 64
 
 
 class Candidate(NamedTuple):
-    """One retrievable item: id, unit-norm embedding, modality, and the
-    candidate bank it came from."""
+    """One retrievable item: id, unit-norm embedding and modality."""
 
     id: int
     embedding: np.ndarray
     modality: Modality
-    source_task: str = ""
 
 
 class Query(NamedTuple):
@@ -214,24 +212,19 @@ def _pass(rows: np.ndarray, pool: RetrievalPool, max_rank: int, rankings) -> tup
     curve over its head, and for each (range, ground truth) of rankings, ground
     truth as _ground_truth_columns gives it, each query's best rank in that range.
     """
-    single = len(pool.ranges) == 1  # one bank, whose range is the whole pool's: ranked once
     ranges = [(0, pool.size), *pool.ranges]
-    cosines = [np.empty((len(rows), min(max_rank, hi - lo))) for lo, hi in ranges[: 1 if single else None]]
+    cosines = [np.empty((len(rows), min(max_rank, hi - lo))) for lo, hi in ranges]
     found = [np.empty(len(starts) - 1, dtype=np.int64) for _, (_, _, starts) in rankings]
     step = max(_BLOCK_ROWS, _BLOCK_BYTES // (8 * pool.size))
     for start in range(0, len(rows), step):
         block = rows[start : start + step]
         stop, scores = start + len(block), block @ pool.matrix.T
-        if single:
-            heads = [_heads(scores, pool.ids, cosines[0].shape[1])] * 2
-            block_cosines = [_pair_dots(np.take(pool.matrix, heads[0], axis=0), block[:, None, :])]
-        else:
-            heads = [lo + _heads(scores[:, lo:hi], pool.ids[lo:hi], min(max_rank, hi - lo)) for lo, hi in pool.ranges]
-            union = np.hstack(heads)  # it holds the pool's head
-            pick = _heads(_take_rows(scores, union), pool.ids[union], cosines[0].shape[1])
-            heads.insert(0, _take_rows(union, pick))
-            bank_cosines = [_pair_dots(np.take(pool.matrix, h, axis=0), block[:, None, :]) for h in heads[1:]]
-            block_cosines = [_take_rows(np.hstack(bank_cosines), pick), *bank_cosines]
+        heads = [lo + _heads(scores[:, lo:hi], pool.ids[lo:hi], min(max_rank, hi - lo)) for lo, hi in pool.ranges]
+        union = np.hstack(heads)  # it holds the pool's head
+        pick = _heads(_take_rows(scores, union), pool.ids[union], cosines[0].shape[1])
+        heads.insert(0, _take_rows(union, pick))
+        bank_cosines = [_pair_dots(np.take(pool.matrix, h, axis=0), block[:, None, :]) for h in heads[1:]]
+        block_cosines = [_take_rows(np.hstack(bank_cosines), pick), *bank_cosines]
         for curve, c in zip(cosines, block_cosines):
             curve[start:stop] = c
         for ranks, (r, (gt_rows, columns, starts)) in zip(found, rankings):
@@ -240,7 +233,7 @@ def _pass(rows: np.ndarray, pool: RetrievalPool, max_rank: int, rankings) -> tup
             ranks[start:stop] = np.minimum.reduceat(got, starts[start:stop] - starts[start])
     # cumsum adds one query at a time, so the sum's rounding follows query order
     curves = [np.cumsum(np.clip(c, -1.0, 1.0), axis=0)[-1] / len(rows) for c in cosines]
-    return curves * 2 if single else curves, found
+    return curves, found
 
 
 def _ranked(queries: QuerySet, pool: RetrievalPool, max_rank: int) -> Ranked:
@@ -317,14 +310,9 @@ def build_global_pool(sources: Iterable[Bank | Iterable[Candidate]]) -> Retrieva
     return RetrievalPool([_bank(source) for source in sources], "global")
 
 
-def build_local_pool(candidates: Bank | Iterable[Candidate]) -> RetrievalPool:
-    """Wrap one (modality, task) candidate bank as a Local pool."""
-    if not isinstance(candidates, Bank):
-        candidates = list(candidates)
-        combos = {(c.modality, c.source_task) for c in candidates}
-        if len(combos) > 1:
-            raise ConfigError(f"local pools hold exactly one (modality, task) bank, got {len(combos)}")
-    return RetrievalPool([_bank(candidates)], "local")
+def build_local_pool(bank: Bank) -> RetrievalPool:
+    """Wrap one candidate bank as a Local pool."""
+    return RetrievalPool([bank], "local")
 
 
 def cosine_by_rank(queries: QuerySet | Ranked, pool: RetrievalPool, max_rank: int) -> np.ndarray:

@@ -157,6 +157,12 @@ def materialize_config(raw: dict) -> dict:
         raise InvalidDimsError(f"latent dim k={data['k']} cannot exceed feature dim d_in={data['d_in']}")
     if data["sigma"] < 0:
         raise ConfigError(f"data.sigma must be >= 0, got {data['sigma']}")
+    # what training and evaluation would reject only after generate has written the datasets
+    if out["train"]["batch_size"] > data["n_pairs"]:
+        raise ConfigError(f"train.batch_size={out['train']['batch_size']} leaves data.n_pairs={data['n_pairs']} "
+                          "fewer than one batch")
+    if out["eval"]["k_values"][0] > data["eval_pairs"] // 2:
+        raise ConfigError(f"no eval.k_values entry fits the local pools of size {data['eval_pairs'] // 2}")
     return out
 
 
@@ -307,8 +313,7 @@ def cmd_generate(cfg: ExperimentConfig, paths: ExperimentPaths | None = None) ->
         "train": {"path": str(paths.train_data), "n_pairs": train_manifest.n_pairs},
         "eval": {"path": str(paths.eval_data), "n_pairs": eval_manifest.n_pairs},
     }
-    needs_triplet = cfg.variant == "gcl_plus_triplet" and cfg.materialized["train"]["triplet_weight"] > 0
-    if needs_triplet:
+    if cfg.train_config().uses_mixed:
         triplet_pairs, triplet_manifest = draw(d["n_pairs"], cfg.seed + 2, 1, "train")
         write_dataset(triplet_pairs, triplet_manifest, paths.triplet_data)
         summary["triplet"] = {"path": str(paths.triplet_data), "n_pairs": triplet_manifest.n_pairs}
@@ -335,7 +340,7 @@ def cmd_train(
     if manifest.d_in != cfg.data["d_in"]:
         raise ConfigError(f"dataset d_in={manifest.d_in} does not match config d_in={cfg.data['d_in']}")
     second_pairs = None
-    if train_config.variant == "gcl_plus_triplet" and train_config.triplet_weight > 0:
+    if train_config.uses_mixed:
         _require(paths.triplet_data, "mixed-objective dataset", "generate")
         second_pairs, _ = read_dataset(paths.triplet_data)
     resume_from = None

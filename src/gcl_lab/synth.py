@@ -69,11 +69,12 @@ class DatasetManifest:
     projection_seed: int | None = None
 
 
-def modality_projections(k: int, d_in: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def modality_projections(k: int, d_in: int, seed: int | np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """The fixed per-seed orthonormal-column projections (A_img, A_txt).
 
     Exposed so tests and diagnostics can recover latents via A.T @ x.
-    Consumes the first draws of the generation PRNG stream.
+    Consumes the first draws of the generation PRNG stream; given a
+    Generator, it draws from that stream.
     """
     rng = np.random.default_rng(seed)
     a_img = np.linalg.qr(rng.standard_normal((d_in, k)))[0]
@@ -124,11 +125,7 @@ def generate_dataset(
     sigma32 = float(np.float32(sigma))
     effective_projection = seed if projection_seed is None else projection_seed
     rng = np.random.default_rng(seed)
-    if effective_projection == seed:
-        a_img = np.linalg.qr(rng.standard_normal((d_in, k)))[0]
-        a_txt = np.linalg.qr(rng.standard_normal((d_in, k)))[0]
-    else:
-        a_img, a_txt = modality_projections(k, d_in, effective_projection)
+    a_img, a_txt = modality_projections(k, d_in, rng if effective_projection == seed else effective_projection)
 
     # Records first: every working array after them is smaller, so a repeated call asks for the largest first.
     pairs = np.recarray(n_pairs, dtype=record_dtype(d_in))

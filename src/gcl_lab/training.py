@@ -124,6 +124,11 @@ class TrainConfig:
         if self.variant == "imsep" and self.batch_size < 2:
             raise ConfigError(f"imsep needs batch_size >= 2 for its separation negatives, got {self.batch_size}")
 
+    @property
+    def uses_mixed(self) -> bool:
+        """Whether a step adds the mixed objective's weighted term (gcl_plus_triplet with triplet_weight > 0)."""
+        return self.variant == "gcl_plus_triplet" and self.triplet_weight > 0
+
     def to_dict(self) -> dict:
         d = asdict(self)
         d["loss"] = {
@@ -237,7 +242,7 @@ def train(
     pairs: np.ndarray,
     second_pairs: np.ndarray | None = None,
     checkpoint_path: str | Path | None = None,
-    resume_from: "str | Path | Checkpoint | None" = None,
+    resume_from: str | Path | None = None,
     stop_after_epochs: int | None = None,
 ) -> tuple[TrainedModel, list[dict]]:
     """Run the full training loop; returns the model and one log record per step.
@@ -249,7 +254,7 @@ def train(
     bit-identical to the pure run.
 
     stop_after_epochs interrupts the run early (the checkpoint records how
-    far it got); resume_from restores a checkpoint of the same config and
+    far it got); resume_from restores the checkpoint file of the same config and
     continues until config.epochs. Because shuffles are keyed by epoch and
     the optimizer state round-trips exactly, an interrupted-then-resumed run
     reproduces the uninterrupted run bit for bit.
@@ -270,8 +275,7 @@ def train(
         base_lr=config.base_lr,
     )
 
-    use_mixed = kind == "gcl_plus_triplet" and config.triplet_weight > 0.0
-    if use_mixed:
+    if config.uses_mixed:
         if second_pairs is None:
             raise ConfigError("variant gcl_plus_triplet with triplet_weight > 0 needs second_pairs")
         if len(second_pairs) < config.batch_size:
@@ -299,7 +303,7 @@ def train(
 
     start_epoch = 0
     if resume_from is not None:
-        ckpt = resume_from if isinstance(resume_from, Checkpoint) else load_checkpoint(resume_from)
+        ckpt = load_checkpoint(resume_from)
         _check_config_hash(ckpt, config)
         if not (0 < ckpt.epochs_completed < config.epochs):
             raise ConfigError(
@@ -327,7 +331,7 @@ def train(
     step = start_epoch * steps_per_epoch
     for epoch in range(start_epoch, last_epoch):
         order = np.random.default_rng([config.seed, 1, epoch]).permutation(n_total)
-        if use_mixed:
+        if config.uses_mixed:
             order2 = np.random.default_rng([config.seed, 2, epoch]).permutation(len(second_pairs))
             steps2 = len(second_pairs) // config.batch_size
         for b in range(steps_per_epoch):
@@ -342,7 +346,7 @@ def train(
             out = _backprop(encoders, trained, x_img, x_txt, main_loss, fuses, renormalize, grads, 1.0)
             value = out.value
             grad_log_tau = out.grad_tau * tau_now
-            if use_mixed:
+            if config.uses_mixed:
                 idx2 = order2[(b % steps2) * config.batch_size : (b % steps2 + 1) * config.batch_size]
                 _, x2_img, x2_txt = dataset_to_arrays(second_pairs.view(np.ndarray).take(idx2))
                 query, candidate = MIXED_TASKS[step % 2]
@@ -362,7 +366,7 @@ def train(
                 "tau": tau_now,
                 "per_term": dict(sorted(out.per_term.items())),
             }
-            if use_mixed:
+            if config.uses_mixed:
                 record["triplet_loss"] = t_out.value
             if not math.isfinite(value):
                 raise DivergenceDetectedError(f"loss became non-finite at step {step} (epoch {epoch})")

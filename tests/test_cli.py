@@ -132,6 +132,31 @@ class TestExitCodes:
         assert err.startswith("config error:") and "imsep needs batch_size >= 2" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "overrides, message, fitting",
+        [  # a batch of the whole training set, and a K of the whole local pool, still fit
+            ({"data": {"n_pairs": 100}, "train": {"batch_size": 128}},
+             "train.batch_size=128 leaves data.n_pairs=100 fewer than one batch", {"train": {"batch_size": 100}}),
+            ({"data": {"eval_pairs": 4}, "eval": {"k_values": [5, 10], "ablation_k": 5}},
+             "no eval.k_values entry fits the local pools of size 2", {"eval": {"k_values": [2, 10], "ablation_k": 2}}),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["generate", "train", "eval", "ablate", "verify"])
+    def test_config_that_cannot_finish_exits_two(self, tmp_path, capsys, command, overrides, message, fitting):
+        raw = json.loads(json.dumps(TINY))
+        for section, fields in overrides.items():
+            raw[section].update(fields)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "run"
+        assert run_cli(command, "--config", str(path), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert not out.exists()
+        for section, fields in fitting.items():
+            raw[section].update(fields)
+        ExperimentConfig.from_dict(raw)
+
     def test_ablate_checks_the_imsep_batch_before_any_sub_run(self, tmp_path, capsys):
         raw = {**TINY, "variant": "gcl", "train": {**TINY["train"], "batch_size": 1}}
         path = tmp_path / "cfg.json"

@@ -41,12 +41,14 @@ def oracle_ranking(query, candidates):
     return [cid for _, cid in scored]
 
 
-def make_candidates(rng, n, d, modality=Modality.IMAGE, task="bank", id_offset=0):
+def make_candidates(rng, n, d, modality=Modality.IMAGE, id_offset=0):
     rows = unit_rows(rng, n, d)
-    return [
-        Candidate(id=id_offset + i, embedding=rows[i], modality=modality, source_task=task)
-        for i in range(n)
-    ]
+    return [Candidate(id=id_offset + i, embedding=rows[i], modality=modality) for i in range(n)]
+
+
+def bank(candidates):
+    """The candidates as one Bank: their ids and their rows."""
+    return Bank(np.array([c.id for c in candidates], dtype=np.int64), np.array([c.embedding for c in candidates]))
 
 
 def make_query_set(rng, pool, n_queries, d, gt_per_query=1):
@@ -68,7 +70,7 @@ class TestPoolConstruction:
     def test_duplicate_id_rejected(self):
         rng = np.random.default_rng(0)
         cands = make_candidates(rng, 3, 4)
-        dup = Candidate(id=1, embedding=cands[0].embedding, modality=Modality.TEXT, source_task="x")
+        dup = Candidate(id=1, embedding=cands[0].embedding, modality=Modality.TEXT)
         with pytest.raises(DuplicateIdError, match="id 1"):
             build_global_pool([cands + [dup]])
 
@@ -78,26 +80,18 @@ class TestPoolConstruction:
         with pytest.raises(ShapeMismatchError):
             build_global_pool([[a, b]])
 
-    def test_local_pool_single_bank_enforced(self):
-        rng = np.random.default_rng(1)
-        image_bank = make_candidates(rng, 3, 4, Modality.IMAGE, "t1")
-        text_bank = make_candidates(rng, 3, 4, Modality.TEXT, "t1", id_offset=10)
-        build_local_pool(image_bank)  # single bank is fine
-        with pytest.raises(ConfigError, match="one .modality, task. bank"):
-            build_local_pool(image_bank + text_bank)
-
     def test_global_pool_mixes_banks(self):
         rng = np.random.default_rng(2)
-        image_bank = make_candidates(rng, 3, 4, Modality.IMAGE, "t1")
-        text_bank = make_candidates(rng, 4, 4, Modality.TEXT, "t2", id_offset=10)
+        image_bank = make_candidates(rng, 3, 4, Modality.IMAGE)
+        text_bank = make_candidates(rng, 4, 4, Modality.TEXT, id_offset=10)
         pool = build_global_pool([image_bank, text_bank])
         assert pool.size == 7
         assert pool.setting == "global"
 
     def test_global_pool_duplicate_across_banks(self):
         rng = np.random.default_rng(3)
-        bank_a = make_candidates(rng, 3, 4, Modality.IMAGE, "t1")
-        bank_b = make_candidates(rng, 3, 4, Modality.TEXT, "t2")  # same ids 0..2
+        bank_a = make_candidates(rng, 3, 4, Modality.IMAGE)
+        bank_b = make_candidates(rng, 3, 4, Modality.TEXT)  # same ids 0..2
         with pytest.raises(DuplicateIdError):
             build_global_pool([bank_a, bank_b])
 
@@ -159,10 +153,10 @@ class TestTopK:
     def test_ties_broken_by_ascending_id(self):
         emb = np.array([1.0, 0.0])
         cands = [
-            Candidate(id=i, embedding=emb, modality=Modality.IMAGE, source_task="t")
+            Candidate(id=i, embedding=emb, modality=Modality.IMAGE)
             for i in (7, 3, 5)
         ]
-        pool = build_local_pool(cands)
+        pool = build_local_pool(bank(cands))
         ranks, _ = rank_of_ground_truth(every_candidate_as_ground_truth(emb, cands), pool)
         assert ranks == [3, 1, 2]
 
@@ -203,10 +197,10 @@ class TestRecall:
     def test_recall_hand_case(self):
         # Two orthogonal candidates; the query sits on candidate 0.
         cands = [
-            Candidate(id=0, embedding=np.array([1.0, 0.0]), modality=Modality.IMAGE, source_task="t"),
-            Candidate(id=1, embedding=np.array([0.0, 1.0]), modality=Modality.IMAGE, source_task="t"),
+            Candidate(id=0, embedding=np.array([1.0, 0.0]), modality=Modality.IMAGE),
+            Candidate(id=1, embedding=np.array([0.0, 1.0]), modality=Modality.IMAGE),
         ]
-        pool = build_local_pool(cands)
+        pool = build_local_pool(bank(cands))
         q_hit = Query(id=0, embedding=np.array([1.0, 0.0]), modality=Modality.TEXT)
         q_miss = Query(id=1, embedding=np.array([1.0, 0.0]), modality=Modality.TEXT)
         queries = QuerySet(queries=[q_hit, q_miss], ground_truth={0: {0}, 1: {1}})
@@ -226,9 +220,9 @@ class TestRecall:
         # ground truth, so every ground-truth rank can only improve locally.
         for seed in range(10):
             rng = np.random.default_rng(200 + seed)
-            local_bank = make_candidates(rng, 15, 4, Modality.IMAGE, "t1")
-            other_bank = make_candidates(rng, 25, 4, Modality.TEXT, "t2", id_offset=100)
-            local = build_local_pool(local_bank)
+            local_bank = make_candidates(rng, 15, 4, Modality.IMAGE)
+            other_bank = make_candidates(rng, 25, 4, Modality.TEXT, id_offset=100)
+            local = build_local_pool(bank(local_bank))
             global_pool = build_global_pool([local_bank, other_bank])
             queries = make_query_set(rng, local, 8, 4)
             for k in (1, 3, 5):
@@ -251,10 +245,10 @@ class TestRankOfGroundTruth:
 
     def test_tied_ground_truth_takes_the_lower_id(self):
         cands = [
-            Candidate(id=cid, embedding=np.array(emb), modality=Modality.IMAGE, source_task="t")
+            Candidate(id=cid, embedding=np.array(emb), modality=Modality.IMAGE)
             for cid, emb in ((9, [0.6, 0.8]), (4, [0.6, 0.8]), (6, [1.0, 0.0]), (2, [0.0, 1.0]))
         ]
-        pool = build_local_pool(cands)
+        pool = build_local_pool(bank(cands))
         q = Query(id=0, embedding=np.array([1.0, 0.0]), modality=Modality.TEXT)
         queries = QuerySet(queries=[q], ground_truth={0: {9, 4}})
         # Order: 6 (1.0), then 4 and 9 tied at 0.6 with 4 first, then 2.
@@ -273,10 +267,10 @@ class TestRankOfGroundTruth:
     def test_histogram_counts_hand_case(self):
         emb = np.eye(4)
         cands = [
-            Candidate(id=i, embedding=emb[i], modality=Modality.IMAGE, source_task="t")
+            Candidate(id=i, embedding=emb[i], modality=Modality.IMAGE)
             for i in range(4)
         ]
-        pool = build_local_pool(cands)
+        pool = build_local_pool(bank(cands))
         # Query along axis 0 with ground truth at id 2: rank of id 2 is
         # decided by the id tie-break among the three zero-score candidates.
         q = Query(id=0, embedding=emb[0], modality=Modality.TEXT)
@@ -298,10 +292,10 @@ class TestRankOfGroundTruth:
 class TestCosines:
     def test_gt_cosine_picks_best_ranked(self):
         cands = [
-            Candidate(id=0, embedding=np.array([1.0, 0.0]), modality=Modality.IMAGE, source_task="t"),
-            Candidate(id=1, embedding=np.array([0.0, 1.0]), modality=Modality.IMAGE, source_task="t"),
+            Candidate(id=0, embedding=np.array([1.0, 0.0]), modality=Modality.IMAGE),
+            Candidate(id=1, embedding=np.array([0.0, 1.0]), modality=Modality.IMAGE),
         ]
-        pool = build_local_pool(cands)
+        pool = build_local_pool(bank(cands))
         q = Query(id=0, embedding=np.array([0.6, 0.8]), modality=Modality.TEXT)
         queries = QuerySet(queries=[q], ground_truth={0: {0, 1}})
         # id 1 scores 0.8 > 0.6, so the best ground truth is id 1.
@@ -333,10 +327,10 @@ class TestCosines:
         rows = [[1.0, 0.0]] * 3 + [[0.6, 0.8], [0.6, -0.8]] * 3 + [[0.0, 1.0]] * 4
         ids = rng.permutation(100)[: len(rows)]
         cands = [
-            Candidate(id=int(cid), embedding=np.array(row), modality=Modality.IMAGE, source_task="t")
+            Candidate(id=int(cid), embedding=np.array(row), modality=Modality.IMAGE)
             for cid, row in zip(ids, rows)
         ]
-        pool = build_local_pool(cands)
+        pool = build_local_pool(bank(cands))
         query = np.array([1.0, 0.0])
         scores = np.array(rows) @ query
         heads = evaluation._heads(np.tile(scores, (3, 1)), ids, 5)
@@ -376,8 +370,8 @@ class TestReport:
         assert report["gt_cosines"] == pytest.approx(best_gt, abs=1e-12)
 
     def test_one_candidate_pool(self):
-        cand = Candidate(id=5, embedding=np.array([0.6, 0.8]), modality=Modality.IMAGE, source_task="t")
-        pool = build_local_pool([cand])
+        cand = Candidate(id=5, embedding=np.array([0.6, 0.8]), modality=Modality.IMAGE)
+        pool = build_local_pool(bank([cand]))
         queries = QuerySet(
             queries=[Query(id=i, embedding=np.array(e), modality=Modality.TEXT) for i, e in enumerate(([1.0, 0.0], [0.0, 1.0]))],
             ground_truth={0: {5}, 1: {5}},
@@ -400,10 +394,10 @@ class TestReport:
     def test_rank_cap_records_both_conventions(self):
         emb = np.eye(3)
         cands = [
-            Candidate(id=i, embedding=emb[i], modality=Modality.IMAGE, source_task="t")
+            Candidate(id=i, embedding=emb[i], modality=Modality.IMAGE)
             for i in range(3)
         ]
-        pool = build_local_pool(cands)
+        pool = build_local_pool(bank(cands))
         q0 = Query(id=0, embedding=emb[0], modality=Modality.TEXT)  # GT rank 1
         q1 = Query(id=1, embedding=emb[0], modality=Modality.TEXT)  # GT id 2 -> rank 3
         queries = QuerySet(queries=[q0, q1], ground_truth={0: {0}, 1: {2}})
@@ -448,9 +442,9 @@ class TestBenchmarkScaleAnalog:
         # stays consistent with the oracle on a sample of queries.
         rng = np.random.default_rng(999)
         banks = [
-            make_candidates(rng, 1000, 8, Modality.IMAGE, "t1", id_offset=0),
-            make_candidates(rng, 1000, 8, Modality.TEXT, "t2", id_offset=1000),
-            make_candidates(rng, 900, 8, Modality.FUSED, "t3", id_offset=2000),
+            make_candidates(rng, 1000, 8, Modality.IMAGE, id_offset=0),
+            make_candidates(rng, 1000, 8, Modality.TEXT, id_offset=1000),
+            make_candidates(rng, 900, 8, Modality.FUSED, id_offset=2000),
         ]
         pool = build_global_pool(banks)
         assert pool.size == 2900
@@ -590,7 +584,8 @@ class TestOnePass:
                 plant_ties(banks, rows, ids, local_k[-1], global_k[-1])
             pool = build_global_pool([Bank(ids[b], banks[b]) for b in range(3)])
             stacked, every_id = np.vstack(banks), np.concatenate(ids)
-            # the same candidates as one bank, so its head is not merged from bank heads
+            # the same candidates as one bank: its head is one argpartition over all 3n
+            # columns, where the three-bank pool's is merged from the bank heads
             merged = build_global_pool([[Candidate(int(i), row, Modality.IMAGE) for i, row in zip(every_id, stacked)]])
             for b, (in_global, in_local) in enumerate(rank_banks(rows, pool, global_k[-1], local_k[-1])):
                 queries = QuerySet([Query(i, rows[i], Modality.TEXT) for i in range(n)], {i: {3 * i + b} for i in range(n)})
